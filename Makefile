@@ -25,15 +25,19 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Short fuzz budgets over the two untrusted input surfaces (trace files
-# and fault-profile JSON) plus two equivalence properties: the calendar
+# and fault-profile JSON) plus four equivalence properties: the calendar
 # queue must pop in exactly the reference heap's (time, seq) order on
-# adversarial schedules, and a run snapshotted at an arbitrary event
+# adversarial schedules, the extent segment store and the sorted HDC
+# pinned set must agree step for step with the per-block hash-indexed
+# stores they replaced, and a run snapshotted at an arbitrary event
 # offset and restored must finish bit-identically to an uninterrupted
 # run. Go runs one fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzSegmentStoreEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzHDCRegionEquivalence$$' -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz '^FuzzSnapshotResume$$' -fuzztime 10s
 
 # Three passes over every benchmark at Quick scale; benchjson keeps the

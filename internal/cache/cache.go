@@ -13,13 +13,18 @@
 // All addresses are per-disk physical block numbers. None of these types
 // hold data; the simulator only tracks residency.
 //
-// Residency indices are open-addressed int64 tables (internal/intmap)
-// rather than Go maps: every request probes the index once per block,
-// which made map hashing the single hottest path in replay profiles.
-// The index storage is pooled across replay cells via Release.
+// Callers ask about contiguous block ranges, so the interface is
+// range-shaped (RunEnd, TouchRange, Insert) and the indices follow the
+// shape of what they hold. A segment holds one sequential run, so the
+// segment store is a sorted array of disjoint extents and the pinned
+// set a sorted block array, both searched by binary search. The block
+// store's recency order is per block by design, so it keeps an
+// open-addressed int64 table (internal/intmap), pooled across replay
+// cells via Release.
 package cache
 
 import (
+	"math"
 	"sync"
 
 	"diskthru/internal/intmap"
@@ -27,10 +32,14 @@ import (
 
 // Store is the read-ahead (replaceable) portion of a controller cache.
 type Store interface {
-	// Contains reports whether the block is resident.
-	Contains(lba int64) bool
-	// Touch records a hit on a resident block, updating recency.
-	Touch(lba int64)
+	// RunEnd returns the end of the run of resident blocks starting at
+	// lba: every block of [lba, RunEnd(lba)) is resident and
+	// RunEnd(lba) is not. It returns lba when lba is not resident.
+	RunEnd(lba int64) int64
+	// TouchRange records a hit on the resident blocks of
+	// [lba, lba+count), updating recency as one hit per block in
+	// ascending order would.
+	TouchRange(lba int64, count int)
 	// Insert records that blocks [lba, lba+count) arrived from media,
 	// evicting as needed.
 	Insert(lba int64, count int)
@@ -58,23 +67,36 @@ func Snap(s Store) Snapshot {
 	return Snapshot{Len: s.Len(), Capacity: s.Capacity(), Evictions: s.Evictions()}
 }
 
-// slotPool recycles block -> slot index tables across replay cells.
+// slotPool recycles block -> node index tables across replay cells.
 var slotPool intmap.Pool[int32]
 
 // ---- Segment store ---------------------------------------------------------
 
+// extent is a run of resident blocks [lo, hi) owned by one segment.
+type extent struct {
+	lo, hi int64
+	seg    int32
+}
+
 type segment struct {
-	blocks []int64 // resident block addresses, in insertion order
-	lru    uint64  // last-use stamp
+	lo, hi int64  // run last inserted; the segment's extents lie inside it
+	live   int    // blocks the segment still owns
+	lru    uint64 // last-use stamp
 }
 
 // SegmentStore is the conventional segment-based controller cache: up to
 // NumSegments streams, whole-segment LRU replacement, at most
 // SegmentBlocks blocks per segment.
+//
+// Residency is one sorted array of disjoint extents searched by binary
+// search. Each block has at most one owner: a newer segment whose run
+// overlaps an older one takes the shared blocks over, trimming or
+// splitting the older segment's extents without counting an eviction.
 type SegmentStore struct {
 	segBlocks int
 	segs      []segment
-	index     *intmap.Map[int32] // block -> segment slot
+	ext       []extent // sorted by lo, disjoint
+	resident  int
 	clock     uint64
 	evicted   uint64
 }
@@ -88,7 +110,9 @@ func NewSegmentStore(numSegments, segmentBlocks int) *SegmentStore {
 	return &SegmentStore{
 		segBlocks: segmentBlocks,
 		segs:      make([]segment, numSegments),
-		index:     slotPool.Get(numSegments * segmentBlocks),
+		// One extent per segment plus a split's worth of headroom;
+		// heavier fragmentation grows the array once and keeps it.
+		ext: make([]extent, 0, 2*numSegments+2),
 	}
 }
 
@@ -99,7 +123,7 @@ func (s *SegmentStore) Name() string { return "segment" }
 func (s *SegmentStore) Capacity() int { return len(s.segs) * s.segBlocks }
 
 // Len implements Store.
-func (s *SegmentStore) Len() int { return s.index.Len() }
+func (s *SegmentStore) Len() int { return s.resident }
 
 // Evictions implements Store.
 func (s *SegmentStore) Evictions() uint64 { return s.evicted }
@@ -107,23 +131,70 @@ func (s *SegmentStore) Evictions() uint64 { return s.evicted }
 // NumSegments reports the segment count.
 func (s *SegmentStore) NumSegments() int { return len(s.segs) }
 
-// Release implements Store: the index table goes back to the pool.
-func (s *SegmentStore) Release() {
-	slotPool.Put(s.index)
-	s.index = nil
-}
+// Release implements Store. A segment store pools nothing.
+func (s *SegmentStore) Release() {}
 
-// Contains implements Store.
-func (s *SegmentStore) Contains(lba int64) bool {
-	return s.index.Contains(lba)
-}
-
-// Touch implements Store.
-func (s *SegmentStore) Touch(lba int64) {
-	if slot, ok := s.index.Get(lba); ok {
-		s.clock++
-		s.segs[slot].lru = s.clock
+// search returns the index of the first extent ending after lba.
+// The loop halves a window of fixed shape regardless of the comparison,
+// so the compiler emits a conditional move instead of a branch the
+// hardware would mispredict on every other probe.
+func (s *SegmentStore) search(lba int64) int {
+	ext := s.ext
+	if len(ext) == 0 {
+		return 0
 	}
+	base, n := 0, len(ext)
+	for n > 1 {
+		half := n >> 1
+		if ext[base+half].hi <= lba {
+			base += half
+		}
+		n -= half
+	}
+	if ext[base].hi <= lba {
+		base++
+	}
+	return base
+}
+
+// RunEnd implements Store.
+func (s *SegmentStore) RunEnd(lba int64) int64 {
+	i := s.search(lba)
+	if i == len(s.ext) || s.ext[i].lo > lba {
+		return lba
+	}
+	end := s.ext[i].hi
+	for i++; i < len(s.ext) && s.ext[i].lo == end; i++ {
+		end = s.ext[i].hi
+	}
+	return end
+}
+
+// TouchRange implements Store. Owners are stamped once per extent in
+// ascending order. A segment's final stamp then sits where its last
+// block in the range sits, which is the relative LRU order one Touch per
+// block would leave.
+func (s *SegmentStore) TouchRange(lba int64, count int) {
+	if count <= 0 {
+		return
+	}
+	end := lba + int64(count)
+	for i := s.search(lba); i < len(s.ext) && s.ext[i].lo < end; i++ {
+		s.clock++
+		s.segs[s.ext[i].seg].lru = s.clock
+	}
+}
+
+// victim returns the least-recently-used segment, lowest index first on
+// ties.
+func (s *SegmentStore) victim() int32 {
+	v := int32(0)
+	for i := 1; i < len(s.segs); i++ {
+		if s.segs[i].lru < s.segs[v].lru {
+			v = int32(i)
+		}
+	}
+	return v
 }
 
 // Insert implements Store. The incoming run is treated as a new stream:
@@ -137,29 +208,81 @@ func (s *SegmentStore) Insert(lba int64, count int) {
 	if count > s.segBlocks {
 		count = s.segBlocks
 	}
-	victim := int32(0)
-	for i := 1; i < len(s.segs); i++ {
-		if s.segs[i].lru < s.segs[victim].lru {
-			victim = int32(i)
-		}
-	}
-	seg := &s.segs[victim]
-	for _, b := range seg.blocks {
-		// A block may have been re-indexed into a newer segment; only
-		// drop the mapping if it still points at the victim.
-		if slot, _ := s.index.Get(b); slot == victim {
-			s.index.Delete(b)
-			s.evicted++
-		}
-	}
-	seg.blocks = seg.blocks[:0]
-	for i := 0; i < count; i++ {
-		b := lba + int64(i)
-		seg.blocks = append(seg.blocks, b)
-		s.index.Put(b, victim)
-	}
+	v := s.victim()
+	s.evict(v)
+	s.place(lba, lba+int64(count), v)
 	s.clock++
-	seg.lru = s.clock
+	s.segs[v].lru = s.clock
+}
+
+// evict drops every extent segment v owns, counting its blocks as
+// evictions.
+func (s *SegmentStore) evict(v int32) {
+	sg := &s.segs[v]
+	if sg.live == 0 {
+		return
+	}
+	s.evicted += uint64(sg.live)
+	s.resident -= sg.live
+	sg.live = 0
+	i := s.search(sg.lo)
+	w, j := i, i
+	for ; j < len(s.ext) && s.ext[j].lo < sg.hi; j++ {
+		if s.ext[j].seg != v {
+			s.ext[w] = s.ext[j]
+			w++
+		}
+	}
+	s.ext = append(s.ext[:w], s.ext[j:]...)
+}
+
+// place makes segment v the owner of [lo, hi). Overlapped extents of
+// other segments are trimmed, split or dropped; their blocks change
+// owner without counting an eviction.
+func (s *SegmentStore) place(lo, hi int64, v int32) {
+	i := s.search(lo)
+	j := i
+	var left, right extent
+	for ; j < len(s.ext) && s.ext[j].lo < hi; j++ {
+		e := s.ext[j]
+		taken := min(e.hi, hi) - max(e.lo, lo)
+		s.segs[e.seg].live -= int(taken)
+		s.resident -= int(taken)
+		if e.lo < lo {
+			left = extent{lo: e.lo, hi: lo, seg: e.seg}
+		}
+		if e.hi > hi {
+			right = extent{lo: hi, hi: e.hi, seg: e.seg}
+		}
+	}
+	k := 1
+	if left.hi > left.lo {
+		k++
+	}
+	if right.hi > right.lo {
+		k++
+	}
+	// Replace ext[i:j] with left?, the new extent, right?.
+	if grow := k - (j - i); grow > 0 {
+		n := len(s.ext)
+		for ; grow > 0; grow-- {
+			s.ext = append(s.ext, extent{})
+		}
+		copy(s.ext[i+k:], s.ext[j:n])
+	} else if grow < 0 {
+		s.ext = append(s.ext[:i+k], s.ext[j:]...)
+	}
+	if left.hi > left.lo {
+		s.ext[i] = left
+		i++
+	}
+	s.ext[i] = extent{lo: lo, hi: hi, seg: v}
+	if right.hi > right.lo {
+		s.ext[i+1] = right
+	}
+	sg := &s.segs[v]
+	sg.lo, sg.hi, sg.live = lo, hi, int(hi-lo)
+	s.resident += sg.live
 }
 
 // ---- Block store -----------------------------------------------------------
@@ -261,9 +384,13 @@ func (s *BlockStore) Release() {
 	s.nodes = nil
 }
 
-// Contains implements Store.
-func (s *BlockStore) Contains(lba int64) bool {
-	return s.index.Contains(lba)
+// RunEnd implements Store. Blocks are indexed one by one, so it probes
+// each block of the run.
+func (s *BlockStore) RunEnd(lba int64) int64 {
+	for s.index.Contains(lba) {
+		lba++
+	}
+	return lba
 }
 
 // alloc takes a node from the free list, or extends the slab.
@@ -303,19 +430,21 @@ func (s *BlockStore) pushFront(n int32) {
 	}
 }
 
-// Touch implements Store. Under LRU a hit promotes the block; under MRU
-// it does not — MRU recency is insertion order, so that a burst of new
-// streams evicts its own freshly-fetched blocks rather than the blocks
-// of established streams (the protection the paper's MRU choice is
-// after). Promoting on hit would instead make every hit block the next
+// TouchRange implements Store. Under LRU a hit promotes each block in
+// turn; under MRU it does not — MRU recency is insertion order, so that
+// a burst of new streams evicts its own freshly-fetched blocks rather
+// than the blocks of established streams (the protection the paper's
+// MRU choice is after). Promoting on hit would instead make every hit block the next
 // victim, which inverts the policy's purpose on reuse-heavy workloads.
-func (s *BlockStore) Touch(lba int64) {
+func (s *BlockStore) TouchRange(lba int64, count int) {
 	if s.policy == EvictMRU {
 		return
 	}
-	if n, ok := s.index.Get(lba); ok {
-		s.unlink(n)
-		s.pushFront(n)
+	for i := 0; i < count; i++ {
+		if n, ok := s.index.Get(lba + int64(i)); ok {
+			s.unlink(n)
+			s.pushFront(n)
+		}
 	}
 }
 
@@ -369,15 +498,19 @@ func (s *BlockStore) evictOne(runStart int64, runLen int) {
 
 // ---- HDC region -------------------------------------------------------------
 
-// dirtyPool recycles pinned-set tables across replay cells.
-var dirtyPool intmap.Pool[bool]
-
 // HDCRegion is the host-managed, pinned portion of a controller cache.
 // Pinned blocks are never replaced; dirty pinned blocks accumulate until
 // the host issues flush_hdc.
+//
+// The pinned set is a sorted block array with parallel dirty flags. The
+// planner pins a fixed set once per period, so lookups (binary search)
+// dominate; the live victim cache's Pin/Unpin pay a sorted insert or
+// delete.
 type HDCRegion struct {
 	capacity int
-	pinned   *intmap.Map[bool] // block -> dirty
+	blocks   []int64 // pinned blocks, ascending
+	dirty    []bool  // dirty[i] is blocks[i]'s flag
+	ndirty   int
 }
 
 // NewHDCRegion returns a region able to pin capacity blocks. A zero
@@ -386,86 +519,141 @@ func NewHDCRegion(capacity int) *HDCRegion {
 	if capacity < 0 {
 		panic("cache: negative HDC capacity")
 	}
-	return &HDCRegion{capacity: capacity, pinned: dirtyPool.Get(capacity)}
+	h := &HDCRegion{capacity: capacity}
+	if capacity > 0 {
+		h.blocks = make([]int64, 0, capacity)
+		h.dirty = make([]bool, 0, capacity)
+	}
+	return h
 }
 
 // Capacity reports the maximum number of pinned blocks.
 func (h *HDCRegion) Capacity() int { return h.capacity }
 
 // Len reports currently pinned blocks.
-func (h *HDCRegion) Len() int { return h.pinned.Len() }
+func (h *HDCRegion) Len() int { return len(h.blocks) }
 
-// Release returns the pinned-set table to the pool. The region must not
-// be used afterwards.
-func (h *HDCRegion) Release() {
-	dirtyPool.Put(h.pinned)
-	h.pinned = nil
+// search returns the index of the first pinned block >= lba and whether
+// it is lba itself.
+func (h *HDCRegion) search(lba int64) (int, bool) {
+	b := h.blocks
+	if len(b) == 0 {
+		return 0, false
+	}
+	base, n := 0, len(b)
+	for n > 1 { // branch-free, as in SegmentStore.search
+		half := n >> 1
+		if b[base+half] < lba {
+			base += half
+		}
+		n -= half
+	}
+	if b[base] < lba {
+		base++
+	}
+	return base, base < len(b) && b[base] == lba
 }
 
 // Contains reports whether the block is pinned.
 func (h *HDCRegion) Contains(lba int64) bool {
-	return h.pinned.Contains(lba)
+	_, ok := h.search(lba)
+	return ok
+}
+
+// RunEnd returns the end of the run of pinned blocks starting at lba,
+// or lba when lba is not pinned. Blocks are distinct and sorted, so
+// blocks[j] - blocks[i] == j - i exactly while the run from i is
+// unbroken, and the run's end is found by binary search too.
+func (h *HDCRegion) RunEnd(lba int64) int64 {
+	i, ok := h.search(lba)
+	if !ok {
+		return lba
+	}
+	lo, hi := i+1, len(h.blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.blocks[m]-lba == int64(m-i) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lba + int64(lo-i)
+}
+
+// NextPinned returns the first pinned block at or after lba, or
+// math.MaxInt64 when there is none.
+func (h *HDCRegion) NextPinned(lba int64) int64 {
+	i, _ := h.search(lba)
+	if i == len(h.blocks) {
+		return math.MaxInt64
+	}
+	return h.blocks[i]
 }
 
 // Pin implements pin_blk: it marks the block non-replaceable. It reports
 // false when the region is full or the block is already pinned.
 func (h *HDCRegion) Pin(lba int64) bool {
-	if h.pinned.Contains(lba) {
+	i, ok := h.search(lba)
+	if ok || len(h.blocks) >= h.capacity {
 		return false
 	}
-	if h.pinned.Len() >= h.capacity {
-		return false
-	}
-	h.pinned.Put(lba, false)
+	h.blocks = append(h.blocks, 0)
+	copy(h.blocks[i+1:], h.blocks[i:])
+	h.blocks[i] = lba
+	h.dirty = append(h.dirty, false)
+	copy(h.dirty[i+1:], h.dirty[i:])
+	h.dirty[i] = false
 	return true
 }
 
 // Unpin implements unpin_blk. It reports whether the block was pinned,
 // and whether it was dirty (the caller must then write it back).
 func (h *HDCRegion) Unpin(lba int64) (was, dirty bool) {
-	d, ok := h.pinned.Get(lba)
+	i, ok := h.search(lba)
 	if !ok {
 		return false, false
 	}
-	h.pinned.Delete(lba)
-	return true, d
+	dirty = h.dirty[i]
+	if dirty {
+		h.ndirty--
+	}
+	h.blocks = append(h.blocks[:i], h.blocks[i+1:]...)
+	h.dirty = append(h.dirty[:i], h.dirty[i+1:]...)
+	return true, dirty
 }
 
 // MarkDirty records a write absorbed by a pinned block. It reports false
 // if the block is not pinned.
 func (h *HDCRegion) MarkDirty(lba int64) bool {
-	if !h.pinned.Contains(lba) {
+	i, ok := h.search(lba)
+	if !ok {
 		return false
 	}
-	h.pinned.Put(lba, true)
+	if !h.dirty[i] {
+		h.dirty[i] = true
+		h.ndirty++
+	}
 	return true
 }
 
-// Flush implements flush_hdc: it returns the sorted-iteration-free list
-// of dirty pinned blocks and clears their dirty flags. The caller
-// schedules the actual media writes.
+// Flush implements flush_hdc: it returns the dirty pinned blocks in
+// ascending order and clears their dirty flags. The caller schedules the
+// actual media writes.
 func (h *HDCRegion) Flush() []int64 {
-	var dirty []int64
-	h.pinned.Range(func(b int64, d bool) bool {
-		if d {
-			dirty = append(dirty, b)
-		}
-		return true
-	})
-	for _, b := range dirty {
-		h.pinned.Put(b, false)
+	if h.ndirty == 0 {
+		return nil
 	}
-	return dirty
+	out := make([]int64, 0, h.ndirty)
+	for i, d := range h.dirty {
+		if d {
+			out = append(out, h.blocks[i])
+			h.dirty[i] = false
+		}
+	}
+	h.ndirty = 0
+	return out
 }
 
 // DirtyCount reports how many pinned blocks are currently dirty.
-func (h *HDCRegion) DirtyCount() int {
-	n := 0
-	h.pinned.Range(func(_ int64, d bool) bool {
-		if d {
-			n++
-		}
-		return true
-	})
-	return n
-}
+func (h *HDCRegion) DirtyCount() int { return h.ndirty }

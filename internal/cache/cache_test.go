@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// has reports whether lba is resident in s.
+func has(s Store, lba int64) bool { return s.RunEnd(lba) > lba }
+
 // ---- SegmentStore ----------------------------------------------------------
 
 func TestSegmentStoreBasics(t *testing.T) {
@@ -18,11 +21,11 @@ func TestSegmentStoreBasics(t *testing.T) {
 	}
 	s.Insert(100, 8)
 	for i := int64(100); i < 108; i++ {
-		if !s.Contains(i) {
+		if !has(s, i) {
 			t.Fatalf("block %d missing after insert", i)
 		}
 	}
-	if s.Contains(99) || s.Contains(108) {
+	if has(s, 99) || has(s, 108) {
 		t.Fatal("store contains blocks outside the inserted run")
 	}
 }
@@ -33,12 +36,12 @@ func TestSegmentStoreWholeSegmentReplacement(t *testing.T) {
 	s.Insert(100, 4) // segment B
 	s.Insert(200, 4) // evicts A entirely
 	for i := int64(0); i < 4; i++ {
-		if s.Contains(i) {
+		if has(s, i) {
 			t.Fatalf("block %d survived whole-segment eviction", i)
 		}
 	}
 	for i := int64(100); i < 104; i++ {
-		if !s.Contains(i) {
+		if !has(s, i) {
 			t.Fatalf("block %d wrongly evicted", i)
 		}
 	}
@@ -51,12 +54,12 @@ func TestSegmentStoreLRUVictim(t *testing.T) {
 	s := NewSegmentStore(2, 4)
 	s.Insert(0, 4)
 	s.Insert(100, 4)
-	s.Touch(0) // segment A becomes most recent
+	s.TouchRange(0, 1) // segment A becomes most recent
 	s.Insert(200, 4)
-	if !s.Contains(0) {
+	if !has(s, 0) {
 		t.Fatal("touched segment was evicted")
 	}
-	if s.Contains(100) {
+	if has(s, 100) {
 		t.Fatal("LRU segment survived")
 	}
 }
@@ -67,7 +70,7 @@ func TestSegmentStoreTruncatesLongRuns(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d after oversized insert, want 4", s.Len())
 	}
-	if s.Contains(4) {
+	if has(s, 4) {
 		t.Fatal("block beyond segment size cached")
 	}
 }
@@ -76,14 +79,14 @@ func TestSegmentStoreReinsertSameBlocks(t *testing.T) {
 	s := NewSegmentStore(3, 4)
 	s.Insert(0, 4)
 	s.Insert(0, 4) // same stream read again into a fresh segment
-	if !s.Contains(0) || !s.Contains(3) {
+	if !has(s, 0) || !has(s, 3) {
 		t.Fatal("blocks lost on reinsert")
 	}
 	// The store must stay internally consistent: evicting the older copy
 	// later must not remove the new mapping.
 	s.Insert(100, 4)
 	s.Insert(200, 4) // forces eviction of the stale duplicate segment
-	if !s.Contains(0) {
+	if !has(s, 0) {
 		t.Fatal("reinserted block lost when its stale segment was evicted")
 	}
 }
@@ -135,7 +138,7 @@ func TestBlockStoreBasics(t *testing.T) {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	for i := int64(10); i < 14; i++ {
-		if !s.Contains(i) {
+		if !has(s, i) {
 			t.Fatalf("missing block %d", i)
 		}
 	}
@@ -146,12 +149,12 @@ func TestBlockStoreLRUEviction(t *testing.T) {
 	s.Insert(1, 1)
 	s.Insert(2, 1)
 	s.Insert(3, 1)
-	s.Touch(1) // 1 becomes MRU; LRU order now 2,3,1
+	s.TouchRange(1, 1) // 1 becomes MRU; LRU order now 2,3,1
 	s.Insert(4, 1)
-	if s.Contains(2) {
+	if has(s, 2) {
 		t.Fatal("LRU block 2 survived")
 	}
-	if !s.Contains(1) || !s.Contains(3) || !s.Contains(4) {
+	if !has(s, 1) || !has(s, 3) || !has(s, 4) {
 		t.Fatal("wrong victim under LRU")
 	}
 }
@@ -162,10 +165,10 @@ func TestBlockStoreMRUEviction(t *testing.T) {
 	s.Insert(2, 1)
 	s.Insert(3, 1) // recency: 3,2,1
 	s.Insert(4, 1) // MRU victim = 3
-	if s.Contains(3) {
+	if has(s, 3) {
 		t.Fatal("MRU block 3 survived")
 	}
-	if !s.Contains(1) || !s.Contains(2) || !s.Contains(4) {
+	if !has(s, 1) || !has(s, 2) || !has(s, 4) {
 		t.Fatal("wrong victim under MRU")
 	}
 }
@@ -175,11 +178,11 @@ func TestBlockStoreMRUDoesNotEatOwnRun(t *testing.T) {
 	s.Insert(100, 2) // old stream
 	s.Insert(0, 4)   // new 4-block run fills the pool, must evict the old stream
 	for i := int64(0); i < 4; i++ {
-		if !s.Contains(i) {
+		if !has(s, i) {
 			t.Fatalf("run block %d evicted by its own insertion", i)
 		}
 	}
-	if s.Contains(100) || s.Contains(101) {
+	if has(s, 100) || has(s, 101) {
 		t.Fatal("old stream survived although pool was full")
 	}
 }
@@ -201,17 +204,17 @@ func TestBlockStoreReinsertMovesToFront(t *testing.T) {
 	s.Insert(1, 1) // re-insert: recency 1,2
 	s.Insert(3, 1)
 	s.Insert(4, 1) // evicts 2 (LRU), not 1
-	if !s.Contains(1) {
+	if !has(s, 1) {
 		t.Fatal("reinserted block evicted")
 	}
-	if s.Contains(2) {
+	if has(s, 2) {
 		t.Fatal("stale block survived")
 	}
 }
 
 func TestBlockStoreTouchMissIsNoop(t *testing.T) {
 	s := NewBlockStore(2, EvictLRU)
-	s.Touch(999) // must not panic or corrupt state
+	s.TouchRange(999, 1) // must not panic or corrupt state
 	s.Insert(1, 2)
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
@@ -227,7 +230,7 @@ func TestBlockStoreEvictionsCounted(t *testing.T) {
 	}
 }
 
-// Property: block stores never exceed capacity and Contains agrees with
+// Property: block stores never exceed capacity and residency agrees with
 // a reference set under arbitrary insert/touch sequences.
 func TestPropertyBlockStoreNeverOverflows(t *testing.T) {
 	for _, pol := range []EvictPolicy{EvictLRU, EvictMRU} {
@@ -237,7 +240,7 @@ func TestPropertyBlockStoreNeverOverflows(t *testing.T) {
 			for _, op := range ops {
 				lba := int64(op % 256)
 				if op%3 == 0 {
-					s.Touch(lba)
+					s.TouchRange(lba, 1)
 				} else {
 					s.Insert(lba, 1+int(op%8))
 				}
@@ -270,7 +273,7 @@ func TestPropertyBlockStoreListMapAgree(t *testing.T) {
 				return false // duplicate node
 			}
 			seen[lba] = true
-			if !s.Contains(lba) {
+			if !has(s, lba) {
 				return false
 			}
 			n++

@@ -338,13 +338,12 @@ func (d *Disk) DigestState(h *snapshot.Hash) {
 	h.AddInt(d.hdc.DirtyCount())
 }
 
-// Release returns the drive's pooled cache-index storage (store and
-// HDC region tables) for reuse by the next replay cell. Call once the
-// replay has drained; the drive must not be used afterwards.
+// Release returns the drive's pooled cache-index storage for reuse by
+// the next replay cell. Call once the replay has drained; the drive must
+// not be used afterwards.
 func (d *Disk) Release() {
 	d.store.Release()
 	d.store = nil
-	d.hdc.Release()
 	d.hdc = nil
 }
 
@@ -445,13 +444,21 @@ func (d *Disk) PinBlocks(pbas []int64) int {
 func (d *Disk) segBlocks() int { return d.cfg.SegmentBytes / d.cfg.Geom.BlockSize }
 
 // resident reports whether every block of [pba, pba+n) can be served
-// from the controller (pinned region or store).
+// from the controller (pinned region or store). It walks the range run
+// by run: each step skips the longer of the resident runs the store and
+// the pinned region hold at the current block (the pinned region is
+// asked only when the store's run falls short of the range).
 func (d *Disk) resident(pba int64, n int) bool {
-	for i := 0; i < n; i++ {
-		b := pba + int64(i)
-		if !d.hdc.Contains(b) && !d.store.Contains(b) {
+	end := pba + int64(n)
+	for b := pba; b < end; {
+		next := d.store.RunEnd(b)
+		if next < end {
+			next = max(next, d.hdc.RunEnd(b))
+		}
+		if next == b {
 			return false
 		}
+		b = next
 	}
 	return true
 }
@@ -460,19 +467,7 @@ func (d *Disk) resident(pba int64, n int) bool {
 // the HDC region — used by mirrored hosts to route reads to the replica
 // that can serve them without a media access.
 func (d *Disk) PinnedAll(pba int64, n int) bool {
-	for i := 0; i < n; i++ {
-		if !d.hdc.Contains(pba + int64(i)) {
-			return false
-		}
-	}
-	return true
-}
-
-// touchRange refreshes recency for resident blocks.
-func (d *Disk) touchRange(pba int64, n int) {
-	for i := 0; i < n; i++ {
-		d.store.Touch(pba + int64(i))
-	}
+	return d.hdc.RunEnd(pba) >= pba+int64(n)
 }
 
 // Submit accepts one request. The controller checks its cache before
@@ -533,7 +528,7 @@ func (d *Disk) Submit(r Request) {
 			d.tr.Outcome(r.trace, probe.OutcomeCacheHit)
 			d.markRAUsed(r.PBA, r.Blocks)
 		}
-		d.touchRange(r.PBA, r.Blocks)
+		d.store.TouchRange(r.PBA, r.Blocks)
 		d.bus.Transfer(bytes, r.Done)
 		return
 	}
@@ -577,7 +572,7 @@ func (d *Disk) serviceNext() {
 			d.tr.Outcome(r.trace, probe.OutcomeLateHit)
 			d.markRAUsed(r.PBA, r.Blocks)
 		}
-		d.touchRange(r.PBA, r.Blocks)
+		d.store.TouchRange(r.PBA, r.Blocks)
 		d.bus.Transfer(r.Blocks*d.cfg.Geom.BlockSize, r.Done)
 		d.serviceNext()
 		return
@@ -656,7 +651,7 @@ func (d *Disk) finishMedia() {
 	r, count := d.inflight, d.inflightCount
 	d.inflight = Request{} // release the Done closure
 	if r.Write {
-		d.touchRange(r.PBA, r.Blocks)
+		d.store.TouchRange(r.PBA, r.Blocks)
 		if r.Done != nil {
 			r.Done(d.sim.Now())
 		}
@@ -692,28 +687,19 @@ func (d *Disk) readAheadCount(r Request) int {
 
 // insertRead places media-read blocks into the store, skipping pinned
 // blocks (they are already resident and must not occupy pool space).
+// Each maximal unpinned stretch goes in as one run; with an empty
+// pinned region that is the whole read.
 func (d *Disk) insertRead(pba int64, count int) {
-	runStart := pba
-	runLen := 0
-	flush := func() {
-		if runLen > 0 {
-			d.store.Insert(runStart, runLen)
-			runLen = 0
-		}
-	}
-	for i := 0; i < count; i++ {
-		b := pba + int64(i)
-		if d.hdc.Contains(b) {
-			flush()
-			runStart = b + 1
+	end := pba + int64(count)
+	for b := pba; b < end; {
+		if p := d.hdc.NextPinned(b); p > b {
+			next := min(p, end)
+			d.store.Insert(b, int(next-b))
+			b = next
 			continue
 		}
-		if runLen == 0 {
-			runStart = b
-		}
-		runLen++
+		b = d.hdc.RunEnd(b)
 	}
-	flush()
 }
 
 // FlushHDC writes all dirty pinned blocks back to media, as flush_hdc()
@@ -728,7 +714,6 @@ func (d *Disk) FlushHDC(done sim.Event) {
 		}
 		return
 	}
-	sortInt64s(dirty)
 	remaining := 0
 	complete := func(sim.Time) {
 		remaining--
@@ -754,15 +739,5 @@ func (d *Disk) FlushHDC(done sim.Event) {
 		}
 		d.enqueue(req)
 		i = j
-	}
-}
-
-func sortInt64s(v []int64) {
-	// Insertion sort: flush lists are short and this avoids pulling in
-	// sort for a hot path that is not hot.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }

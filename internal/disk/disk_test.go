@@ -220,6 +220,29 @@ func TestHDCReadHitAvoidsMedia(t *testing.T) {
 	}
 }
 
+// A media read splits around pinned runs: each unpinned stretch of the
+// read-ahead lands in the store as its own run, and a later read served
+// partly by the store and partly by the pinned region is a cache hit.
+func TestReadAheadSkipsPinnedRuns(t *testing.T) {
+	cfg := baseConfig()
+	cfg.HDCBytes = 1 << 20
+	s, d := newDisk(t, cfg)
+	d.PinBlocks([]int64{120, 105, 106})
+	read(s, d, 100, 4) // blind read-ahead: blocks 100..131
+	if got := d.Store().Len(); got != 29 {
+		t.Fatalf("store holds %d blocks, want the 29 unpinned of 32", got)
+	}
+	for _, r := range [][2]int64{{100, 105}, {107, 120}, {121, 132}} {
+		if end := d.Store().RunEnd(r[0]); end != r[1] {
+			t.Fatalf("store run from %d ends at %d, want %d", r[0], end, r[1])
+		}
+	}
+	read(s, d, 103, 20) // store 103-104, pinned 105-106, store 107-119, pinned 120, store 121-122
+	if st := d.Stats(); st.ReadHits != 1 || st.MediaOps != 1 {
+		t.Fatalf("stats = %+v, want the mixed read served as a hit", st)
+	}
+}
+
 func TestHDCWriteAbsorbedAndFlushed(t *testing.T) {
 	cfg := baseConfig()
 	cfg.HDCBytes = 1 << 20

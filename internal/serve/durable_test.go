@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -506,5 +507,41 @@ func TestJournalFailureRejectsAdmission(t *testing.T) {
 	}
 	if got := len(s.List()); got != 1 {
 		t.Fatalf("job table grew to %d after rejected admission, want 1", got)
+	}
+}
+
+// TestDrainClosesJournal: Drain releases the journal's file once the
+// workers are done, so a drained daemon holds no descriptor on a state
+// directory its owner may delete; the journal counters stay readable,
+// and a second Drain neither fails nor closes the file again.
+func TestDrainClosesJournal(t *testing.T) {
+	var logs strings.Builder
+	run, _ := instantRunner()
+	s, err := New(Config{
+		QueueCap: 4, Workers: 1, Runner: run, StateDir: t.TempDir(),
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Submit(Spec{Experiment: "fig1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitJob(t, s, a.ID, 10*time.Second, terminal)
+	for i := 0; i < 2; i++ {
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatalf("drain %d: %v", i+1, err)
+		}
+	}
+	// submit + start + done
+	if m := scrape(t, s); !strings.Contains(m, "serve_journal_appends_total 3\n") {
+		t.Fatalf("journal metrics unreadable after Drain:\n%s", m)
+	}
+	if err := s.jnl.Append([]byte("{}")); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("append after Drain returned %v, want a closed-file error", err)
+	}
+	if strings.Contains(logs.String(), "closing journal") {
+		t.Fatalf("journal close failed or ran twice:\n%s", logs.String())
 	}
 }

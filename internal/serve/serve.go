@@ -130,9 +130,11 @@ type Server struct {
 	running, done, failed, canceled           int
 	recoveredTerminal, recoveredResumed       int
 
-	// jnl is the job journal (nil without StateDir); cellsReplayed
-	// counts cells restored from it instead of re-run.
+	// jnl is the job journal (nil without StateDir), closed once by
+	// Drain after the workers exit; cellsReplayed counts cells restored
+	// from it instead of re-run.
 	jnl           *journal.Writer
+	jnlClose      sync.Once
 	cellsReplayed atomic.Int64
 	// cache is the warm-start LRU (nil when Config.CacheBytes < 0); the
 	// warm-execution counters below are atomics so the metrics registry
@@ -540,8 +542,10 @@ func (s *Server) Draining() bool {
 // Drain closes admission and waits for the workers to finish every
 // already-accepted job (queued and running) — the SIGTERM path. If ctx
 // fires first, all remaining jobs are cancelled and Drain waits for the
-// workers to observe that, returning ctx's error. Drain is idempotent;
-// concurrent calls all block until the pool exits.
+// workers to observe that, returning ctx's error. Once the workers have
+// exited the journal is closed; its counters stay readable for
+// /metrics. Drain is idempotent; concurrent calls all block until the
+// pool exits.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -558,6 +562,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		s.closeJournal()
 		return nil
 	case <-ctx.Done():
 	}
@@ -572,7 +577,22 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	<-done
+	s.closeJournal()
 	return ctx.Err()
+}
+
+// closeJournal closes the journal writer exactly once. Every append
+// happened-before the workers' exit, and admission is closed, so no
+// record can follow.
+func (s *Server) closeJournal() {
+	s.jnlClose.Do(func() {
+		if s.jnl == nil {
+			return
+		}
+		if err := s.jnl.Close(); err != nil {
+			s.log.Error("closing journal", "error", err)
+		}
+	})
 }
 
 // worker executes queued jobs until the queue is closed and empty.
