@@ -25,20 +25,18 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Short fuzz budgets over the two untrusted input surfaces (trace files
-# and fault-profile JSON) plus four equivalence properties: the calendar
-# queue must pop in exactly the reference heap's (time, seq) order on
-# adversarial schedules, the extent segment store and the sorted HDC
-# pinned set must agree step for step with the per-block hash-indexed
-# stores they replaced, and a run snapshotted at an arbitrary event
-# offset and restored must finish bit-identically to an uninterrupted
-# run. Go runs one fuzz target per invocation.
+# and fault-profile JSON) plus three equivalence properties: the
+# calendar queue must pop in exactly the reference heap's (time, seq)
+# order on adversarial schedules, and the extent segment store and the
+# sorted HDC pinned set must agree step for step with the per-block
+# hash-indexed stores they replaced. Go runs one fuzz target per
+# invocation.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzSegmentStoreEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzHDCRegionEquivalence$$' -fuzztime 10s
-	$(GO) test . -run '^$$' -fuzz '^FuzzSnapshotResume$$' -fuzztime 10s
 
 # Three passes over every benchmark at Quick scale; benchjson keeps the
 # fastest run of each, and the parsed numbers land in BENCH_quick.json
@@ -99,15 +97,14 @@ profile:
 # SIGKILL the daemon while cell payloads are still streaming into the
 # journal, restart it on the same -state-dir, and require the recovered
 # job's output to diff byte-identically against a fresh single-process
-# `diskthru -j 1` run. Round two: boot a daemon with intra-cell
-# snapshots on, submit one long degraded cell, SIGKILL as soon as the
-# first snapshot record lands (so the kill is mid-cell, with no
-# completed-cell checkpoint to lean on), restart, and require the
-# recovered job to resume from the journaled snapshot (a verified
-# restore in /metrics) with a payload byte-identical to a cold rerun.
-# The in-process variants (torn mid-append frames at every byte offset,
-# hand-crafted snap journals) run in the test suite; this exercises the
-# same paths end to end.
+# `diskthru -j 1` run. Round two: submit one long degraded cell to a
+# journal-enabled daemon, SIGKILL it once the job view shows it running
+# with simulator events counted (so the kill is mid-cell, with no
+# completed-cell record in the journal), restart, and require the
+# recovered job, which re-runs the cell from its start, to produce a
+# payload byte-identical to a cold rerun. The in-process variants (torn
+# mid-append frames at every byte offset, journals from older daemons)
+# run in the test suite; this exercises the same paths end to end.
 crash-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
@@ -152,43 +149,45 @@ crash-smoke:
 		| awk '$$1 == "serve_cells_replayed_total" {print $$2}'); \
 	echo "crash-smoke: OK (byte-identical after SIGKILL; $$replayed cells replayed from journal)"; \
 	$$tmp/diskthrud -addr 127.0.0.1:0 -addr-file $$tmp/a3 \
-		-state-dir $$tmp/state2 -snapshot-events 100000 -cache-bytes -1 \
-		>$$tmp/d3.log 2>&1 & pid3=$$!; \
+		-state-dir $$tmp/state2 -cache-bytes -1 >$$tmp/d3.log 2>&1 & pid3=$$!; \
 	for i in $$(seq 1 100); do [ -s $$tmp/a3 ] && break; sleep 0.1; done; \
 	[ -s $$tmp/a3 ] || { \
-		echo "crash-smoke: snapshot daemon never wrote its address"; \
+		echo "crash-smoke: cell daemon never wrote its address"; \
 		cat $$tmp/d3.log; exit 1; }; \
 	cj=$$($$tmp/diskthru-client -addr "http://$$(cat $$tmp/a3)" \
 		submit -experiment degraded -quick -cell 0:0 -syn-requests 1000000 -key crash-smoke-cell); \
-	snapped=; \
+	midcell=; \
 	for i in $$(seq 1 600); do \
-		snapped=$$($$tmp/diskthru-client -addr "http://$$(cat $$tmp/a3)" metrics \
-			| awk '$$1 == "serve_snapshots_taken_total" && $$2 >= 1 {print "yes"}'); \
-		[ "$$snapped" = yes ] && break; sleep 0.02; done; \
-	[ "$$snapped" = yes ] || { \
-		echo "crash-smoke: no intra-cell snapshot ever hit the journal"; \
+		midcell=$$($$tmp/diskthru-client -addr "http://$$(cat $$tmp/a3)" status "$$cj" \
+			| awk '/"state": "running"/ {run = 1} /"events": [1-9]/ {ev = 1} END {if (run && ev) print "yes"}'); \
+		[ "$$midcell" = yes ] && break; sleep 0.02; done; \
+	[ "$$midcell" = yes ] || { \
+		echo "crash-smoke: cell job never reported simulator progress while running"; \
 		cat $$tmp/d3.log; exit 1; }; \
 	kill -9 $$pid3; wait $$pid3 2>/dev/null || true; \
 	$$tmp/diskthrud -addr 127.0.0.1:0 -addr-file $$tmp/a4 \
-		-state-dir $$tmp/state2 -snapshot-events 100000 -cache-bytes -1 \
-		>$$tmp/d4.log 2>&1 & pid4=$$!; \
+		-state-dir $$tmp/state2 -cache-bytes -1 >$$tmp/d4.log 2>&1 & pid4=$$!; \
 	for i in $$(seq 1 100); do [ -s $$tmp/a4 ] && break; sleep 0.1; done; \
 	[ -s $$tmp/a4 ] || { \
-		echo "crash-smoke: restarted snapshot daemon never wrote its address"; \
+		echo "crash-smoke: restarted cell daemon never wrote its address"; \
+		cat $$tmp/d4.log; exit 1; }; \
+	$$tmp/diskthru-client -addr "http://$$(cat $$tmp/a4)" metrics \
+		| grep '^serve_jobs_recovered_total{disposition="resumed"} 1' >/dev/null || { \
+		echo "crash-smoke: restarted daemon did not recover the cell job"; \
 		cat $$tmp/d4.log; exit 1; }; \
 	$$tmp/diskthru-client -addr "http://$$(cat $$tmp/a4)" \
 		wait "$$cj" >$$tmp/cell-resumed.out; \
 	$$tmp/diskthru-client -addr "http://$$(cat $$tmp/a4)" metrics \
-		| grep '^serve_snapshot_restores_total{result="verified"} 1' >/dev/null || { \
-		echo "crash-smoke: restarted daemon did not resume from the intra-cell snapshot"; \
+		| grep '^serve_cells_replayed_total 0' >/dev/null || { \
+		echo "crash-smoke: the kill was not mid-cell (a completed cell was journaled)"; \
 		cat $$tmp/d4.log; exit 1; }; \
 	$$tmp/diskthru-client -addr "http://$$(cat $$tmp/a4)" \
 		run -experiment degraded -quick -cell 0:0 -syn-requests 1000000 \
 		-key crash-smoke-cell-cold >$$tmp/cell-cold.out; \
 	diff -u $$tmp/cell-cold.out $$tmp/cell-resumed.out || { \
-		echo "crash-smoke: snapshot-resumed cell payload differs from a cold run"; \
+		echo "crash-smoke: recovered cell payload differs from a cold run"; \
 		cat $$tmp/d4.log; exit 1; }; \
-	echo "crash-smoke: OK (mid-cell SIGKILL resumed from journaled snapshot, byte-identical)"
+	echo "crash-smoke: OK (mid-cell SIGKILL re-ran the cell from the journal, byte-identical)"
 
 # Scrape a live test daemon's /metrics through HTTP and validate every
 # family with the exposition parser and linter (naming conventions,

@@ -25,7 +25,9 @@
 // if the sweep is killed, rerunning with -state-dir and -resume injects
 // the journaled cells and dispatches only the rest, producing the same
 // bytes as an uninterrupted run. -resume refuses a journal whose
-// fingerprint (experiment + scales + seed) does not match the request.
+// fingerprint (experiment + scales + seed) does not match the request,
+// or that a binary with another model digest wrote. Daemons whose
+// /healthz model digest differs from the coordinator's get no work.
 package main
 
 import (

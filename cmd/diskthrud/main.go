@@ -11,15 +11,15 @@
 //	diskthrud -addr 127.0.0.1:0 -addr-file /tmp/diskthrud.addr
 //	diskthrud -queue-cap 8 -workers 2 -max-timeout 10m
 //	diskthrud -log-format json -pprof-addr 127.0.0.1:6060
-//	diskthrud -state-dir /var/lib/diskthrud -snapshot-events 1000000
+//	diskthrud -state-dir /var/lib/diskthrud
 //	diskthrud -cache-bytes 134217728
 //
 // Warm starts: the daemon keeps an LRU byte-budgeted cache of built
-// workloads and finished cell payloads (-cache-bytes), honors
+// workloads and finished cell payloads (-cache-bytes) and honors
 // phase_results attached to cell submissions instead of re-simulating
-// earlier phases, and — with -state-dir — journals intra-cell replay
-// snapshots every -snapshot-events simulator events so a SIGKILLed
-// daemon resumes long cells mid-flight instead of from scratch.
+// earlier phases. With -state-dir, a SIGKILLed daemon resumes each
+// unfinished job from its last completed cell; a cell cut short re-runs
+// from the start, deterministically to the same bytes.
 //
 // Logs are structured (log/slog) on stderr, text by default and JSON
 // with -log-format json; every job-lifecycle record carries the job id.
@@ -62,7 +62,6 @@ func main() {
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off); keep it loopback-only")
 		stateDir     = flag.String("state-dir", "", "directory for the crash-safety journal; jobs survive SIGKILL and resume from their last completed cell (empty = memory-only)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "byte budget for the in-memory warm cache of built workloads and finished cell payloads (negative = off)")
-		snapEvents   = flag.Uint64("snapshot-events", 2_000_000, "journal an intra-cell replay snapshot every N simulator events for cell jobs, so a crashed daemon resumes mid-cell; needs -state-dir (0 = off)")
 	)
 	flag.Parse()
 	logger, err := newLogger(*logFormat)
@@ -117,7 +116,6 @@ func main() {
 		Logger:         logger,
 		StateDir:       *stateDir,
 		CacheBytes:     *cacheBytes,
-		SnapshotEvery:  *snapEvents,
 	})
 	if err != nil {
 		fatal("recovering state", err)

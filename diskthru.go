@@ -34,7 +34,6 @@ import (
 	"diskthru/internal/host"
 	"diskthru/internal/probe"
 	"diskthru/internal/sim"
-	"diskthru/internal/snapshot"
 	"diskthru/internal/stats"
 	"diskthru/internal/workload"
 )
@@ -413,40 +412,13 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 	if done := ctx.Done(); done != nil {
 		r.sim.SetCancel(done)
 	}
-	obs, err := newRunObserver(w, cfg, r, h)
-	if err != nil {
-		return Result{}, fmt.Errorf("diskthru: %s/%s: %w", w.Name(), cfg.System, err)
-	}
-	if obs != nil {
-		r.sim.SetProgress(obs.tick)
-	}
+	watchProgress(r.sim, cfg.Progress)
 	if source {
 		h.StartOpen(inner.NewSource())
 	} else {
 		h.Start(inner.Trace)
 	}
-	if obs != nil && obs.resume != nil {
-		// Fast-forward exactly to the checkpoint's event boundary and
-		// verify the trajectory bit-for-bit before trusting the rest of
-		// the drain. A cancelled fast-forward falls through to the
-		// cancelled check below.
-		if err := obs.fastForward(r.sim); err != nil {
-			return Result{}, fmt.Errorf("diskthru: %s/%s: %w", w.Name(), cfg.System, err)
-		}
-	}
-	if !r.sim.Cancelled() {
-		if obs != nil && obs.sink != nil {
-			// Drive the drain in exact SnapshotEvery chunks so every
-			// checkpoint lands on a precise event offset — RunEvents stops
-			// at the boundary, its final progress report fires tick, tick
-			// emits the checkpoint and advances nextSnap. Cold runs take
-			// the plain drain below, untouched.
-			for r.sim.RunEvents(obs.nextSnap) {
-			}
-		} else {
-			r.sim.Run()
-		}
-	}
+	r.sim.Run()
 	if r.sim.Cancelled() {
 		// Partial counters and partial telemetry would misrepresent the
 		// workload; drop both.
@@ -471,131 +443,11 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// ErrSnapshotResume marks a Config.Resume that could not be honored:
-// the checkpoint is corrupt, belongs to a different (workload, config)
-// pair, or — the case the verification exists for — the rebuilt replay's
-// trajectory did not match the checkpoint bit-for-bit. Callers fall
-// back to a cold run; no Result is ever produced from an unverified
-// resume.
-var ErrSnapshotResume = fmt.Errorf("snapshot resume failed")
-
-// runObserver is the per-replay progress/snapshot hook installed as the
-// simulator's progress callback. With only a Progress tracker attached
-// it reproduces the old watchProgress behavior exactly: the closure and
-// its captured counters are the only allocations — one-time, per cell,
-// outside the event loop — and the callback itself is allocation-free
-// on the progress-only path, preserving the scheduling-path guarantees.
-// With snapshots armed it additionally emits an encoded
-// snapshot.State whenever the drain crosses the next SnapshotEvery
-// boundary.
-type runObserver struct {
-	prog       *probe.Progress
-	lastEvents uint64
-	lastNow    sim.Time
-
-	fp     uint64        // run fingerprint; zero unless snapshotting or resuming
-	digest func() uint64 // multi-layer state digest at the current boundary
-
-	every    uint64 // SnapshotEvery; zero disables taking
-	sink     func([]byte)
-	nextSnap uint64
-
-	resume *snapshot.State // decoded Config.Resume, nil for cold runs
-}
-
-// newRunObserver builds the observer for one replay, or nil when
-// neither progress nor snapshots nor resume are requested — the nil
-// path leaves the simulator's hot loop completely uninstrumented, as
-// before.
-func newRunObserver(w *Workload, cfg Config, r *rig, h *host.Host) (*runObserver, error) {
-	snapping := cfg.SnapshotEvery > 0 && cfg.OnSnapshot != nil
-	if cfg.Progress == nil && !snapping && cfg.Resume == nil {
-		return nil, nil
-	}
-	o := &runObserver{prog: cfg.Progress}
-	if snapping || cfg.Resume != nil {
-		o.fp = runFingerprint(w, cfg)
-		o.digest = func() uint64 {
-			d := snapshot.New()
-			d.Add(r.sim.Scheduled())
-			d.AddInt(r.sim.Pending())
-			r.bus.DigestState(d)
-			for _, dk := range r.disks {
-				dk.DigestState(d)
-			}
-			h.DigestState(d)
-			return d.Sum()
-		}
-	}
-	if snapping {
-		o.every = cfg.SnapshotEvery
-		o.sink = cfg.OnSnapshot
-		o.nextSnap = cfg.SnapshotEvery
-	}
-	if cfg.Resume != nil {
-		st, err := snapshot.Decode(cfg.Resume)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSnapshotResume, err)
-		}
-		if st.Fingerprint != o.fp {
-			return nil, fmt.Errorf("%w: checkpoint fingerprint %016x does not match this run's %016x",
-				ErrSnapshotResume, st.Fingerprint, o.fp)
-		}
-		o.resume = &st
-		// Never re-take checkpoints the crashed run already journaled.
-		if o.sink != nil && o.nextSnap <= st.Events {
-			o.nextSnap = st.Events + o.every
-		}
-	}
-	return o, nil
-}
-
-// tick is the simulator progress callback: report deltas to the live
-// tracker, and emit a checkpoint when the drain crosses the next
-// snapshot boundary.
-func (o *runObserver) tick(processed uint64, now sim.Time) {
-	if o.prog != nil {
-		o.prog.Advance(processed-o.lastEvents, now-o.lastNow)
-		o.lastEvents, o.lastNow = processed, now
-	}
-	if o.sink != nil && processed >= o.nextSnap {
-		st := snapshot.State{Fingerprint: o.fp, Events: processed, Clock: now, Digest: o.digest()}
-		o.sink(st.Encode())
-		o.nextSnap = processed + o.every
-	}
-}
-
-// fastForward drives a freshly-built replay to the resume checkpoint's
-// exact event offset and verifies the clock and state digest
-// bit-for-bit. Determinism guarantees a true match can only be
-// identical to the crashed run's prefix; any divergence (different
-// binary, different telemetry attachment, cosmic-ray journal damage
-// that survived the CRC) surfaces as ErrSnapshotResume instead of a
-// silently different table.
-func (o *runObserver) fastForward(s *sim.Simulator) error {
-	st := o.resume
-	if !s.RunEvents(st.Events) {
-		if s.Cancelled() {
-			return nil // the caller's cancelled check reports it
-		}
-		return fmt.Errorf("%w: replay drained after %d events, checkpoint at %d",
-			ErrSnapshotResume, s.Processed(), st.Events)
-	}
-	if math.Float64bits(s.Now()) != math.Float64bits(st.Clock) {
-		return fmt.Errorf("%w: clock %v at event %d, checkpoint says %v",
-			ErrSnapshotResume, s.Now(), st.Events, st.Clock)
-	}
-	if d := o.digest(); d != st.Digest {
-		return fmt.Errorf("%w: state digest %016x at event %d, checkpoint says %016x",
-			ErrSnapshotResume, d, st.Events, st.Digest)
-	}
-	return nil
-}
-
-// watchProgress subscribes a progress tracker to one replay engine —
-// the progress-only subset of runObserver, used by the live mode
-// (RunLive supports no snapshots: its buffer-cache state is not covered
-// by the digest methods).
+// watchProgress subscribes a progress tracker to one replay engine. The
+// closure and its captured counters are the only allocations — one-time,
+// per replay, outside the event loop — and the callback itself is
+// allocation-free, so the scheduling path stays uninstrumented when p is
+// nil and allocation-free when it is not.
 func watchProgress(s *sim.Simulator, p *probe.Progress) {
 	if p == nil {
 		return
@@ -606,59 +458,6 @@ func watchProgress(s *sim.Simulator, p *probe.Progress) {
 		p.Advance(processed-lastEvents, now-lastNow)
 		lastEvents, lastNow = processed, now
 	})
-}
-
-// runFingerprint identifies the (workload, config) pair of a replay for
-// snapshot binding. Everything that shapes the simulation folds in;
-// pure observers (telemetry, progress, the snapshot knobs themselves)
-// do not.
-func runFingerprint(w *Workload, cfg Config) uint64 {
-	h := snapshot.New()
-	h.AddString(w.Name())
-	h.AddInt(w.Records())
-	h.Add(uint64(w.FootprintBlocks()))
-	h.AddInt(w.Streams())
-	h.AddInt(cfg.Disks)
-	h.AddInt(cfg.StripeKB)
-	h.AddInt(cfg.CacheKB)
-	h.AddInt(cfg.SegmentKB)
-	h.AddInt(cfg.MaxSegments)
-	h.AddInt(cfg.HDCKB)
-	h.AddInt(int(cfg.System))
-	h.AddInt(int(cfg.Scheduler))
-	h.AddInt(int(cfg.Planner))
-	h.AddInt(cfg.Streams)
-	h.AddFloat(cfg.ArrivalRate)
-	h.AddBool(cfg.StreamStats)
-	h.AddInt(cfg.FailedDisk)
-	h.AddFloat(cfg.CoalesceProb)
-	h.Add(uint64(cfg.Seed))
-	h.AddBool(cfg.FlushHDCAtEnd)
-	h.AddFloat(cfg.SyncHDCSeconds)
-	h.AddBool(cfg.SequentialIssue)
-	h.AddBool(cfg.Mirrored)
-	h.AddBool(cfg.CoopHDC)
-	h.AddBool(cfg.FOREvictLRU)
-	h.AddBool(cfg.ZonedGeometry)
-	h.AddFloat(cfg.RequestTimeoutSeconds)
-	if p := cfg.Faults; p != nil {
-		h.Add(uint64(p.Seed))
-		h.AddFloat(p.MediaErrorRate)
-		h.AddFloat(p.RecoveryLatency)
-		h.AddInt(p.MaxRetries)
-		h.AddFloat(p.BackoffBase)
-		h.AddFloat(p.BackoffCap)
-		for _, lr := range p.Latent {
-			h.AddInt(lr.Disk)
-			h.Add(uint64(lr.Start))
-			h.Add(uint64(lr.Blocks))
-		}
-		for _, d := range p.Deaths {
-			h.AddInt(d.Disk)
-			h.AddFloat(d.At)
-		}
-	}
-	return h.Sum()
 }
 
 // splitRuns partitions a pinned-block plan into two halves, alternating

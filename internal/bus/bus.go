@@ -6,7 +6,6 @@ package bus
 
 import (
 	"diskthru/internal/sim"
-	"diskthru/internal/snapshot"
 )
 
 // Config describes an interconnect.
@@ -66,10 +65,3 @@ func (b *Bus) BusySeconds() float64 { return b.res.Busy }
 
 // Transfers reports completed transfer count.
 func (b *Bus) Transfers() uint64 { return b.res.Served }
-
-// DigestState folds the bus counters into a snapshot digest.
-func (b *Bus) DigestState(h *snapshot.Hash) {
-	h.Add(b.Bytes)
-	h.AddFloat(b.res.Busy)
-	h.Add(b.res.Served)
-}

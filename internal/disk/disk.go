@@ -17,7 +17,6 @@ import (
 	"diskthru/internal/probe"
 	"diskthru/internal/sched"
 	"diskthru/internal/sim"
-	"diskthru/internal/snapshot"
 )
 
 // Org selects the controller-cache organization.
@@ -301,42 +300,6 @@ func New(s *sim.Simulator, b *bus.Bus, id int, cfg Config) (*Disk, error) {
 
 // Stats returns a copy of the drive's counters.
 func (d *Disk) Stats() Stats { return d.stats }
-
-// DigestState folds the drive's observable state into a snapshot
-// digest: every Stats counter (time accumulators as exact bit
-// patterns), the mechanical position, the queue and in-flight slot, and
-// the cache occupancies. Called at event-loop boundaries only.
-func (d *Disk) DigestState(h *snapshot.Hash) {
-	st := d.stats
-	h.Add(st.Reads)
-	h.Add(st.Writes)
-	h.Add(st.ReadHits)
-	h.Add(st.LateHits)
-	h.Add(st.HDCReadHits)
-	h.Add(st.HDCWriteHits)
-	h.Add(st.MediaOps)
-	h.Add(st.MediaBlocks)
-	h.Add(st.RequestedBlocks)
-	h.Add(st.Retries)
-	h.Add(st.Remaps)
-	h.Add(st.Dropped)
-	h.AddFloat(st.SeekTime)
-	h.AddFloat(st.RotTime)
-	h.AddFloat(st.TransferTime)
-	h.AddFloat(st.OverheadTime)
-	h.AddFloat(st.RecoveryTime)
-	h.AddInt(d.headCyl)
-	h.AddBool(d.busy)
-	h.AddFloat(d.opEnd)
-	h.AddInt(d.queue.Len())
-	h.AddInt(d.inflightCount)
-	h.AddInt(d.attempt)
-	cs := cache.Snap(d.store)
-	h.AddInt(cs.Len)
-	h.Add(cs.Evictions)
-	h.AddInt(d.hdc.Len())
-	h.AddInt(d.hdc.DirtyCount())
-}
 
 // Release returns the drive's pooled cache-index storage for reuse by
 // the next replay cell. Call once the replay has drained; the drive must

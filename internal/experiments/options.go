@@ -60,20 +60,6 @@ type Options struct {
 	// its LRU cache through this field; nil (default) builds from
 	// scratch, exactly as before.
 	WorkloadCache WorkloadCache
-	// SnapshotEvery, with OnSnapshot, arms intra-cell checkpointing for
-	// the RunCell target cell: the replay engine emits an encoded
-	// snapshot.State roughly every this many simulation events (see
-	// diskthru.Config.SnapshotEvery). Pure observer — cell payloads are
-	// byte-identical with snapshots on or off.
-	SnapshotEvery uint64
-	// OnSnapshot receives each checkpoint of the target cell. The job
-	// daemon journals them so a SIGKILLed long cell resumes mid-flight.
-	OnSnapshot func(id CellID, state []byte)
-	// ResumeSnapshot, when non-nil, is consulted once for the RunCell
-	// target cell; a non-nil return is an encoded checkpoint the replay
-	// fast-forwards to and verifies bit-for-bit before continuing (see
-	// diskthru.Config.Resume). Return nil to run the cell cold.
-	ResumeSnapshot func(id CellID) []byte
 	// cells carries the cell-granularity execution session installed by
 	// RunCell / RunWithCellExec (see cell.go); nil for ordinary runs.
 	// Unexported on purpose: the only safe producers are in this

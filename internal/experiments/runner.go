@@ -31,17 +31,6 @@ type runner struct {
 	stream bool            // Options.StreamStats, threaded into every cell
 	sess   *cellSession    // nil outside RunCell / RunWithCellExec
 	cells  []cellEntry
-
-	// Intra-cell snapshot hooks (Options.SnapshotEvery / OnSnapshot /
-	// ResumeSnapshot), armed only for the RunCell target cell: capture
-	// sets snapID just before executing it — serially, on the driver
-	// goroutine, after every earlier phase's pool has drained — and the
-	// cell closures read it at execution time. Never armed for earlier
-	// phases or plain runs.
-	snapEvery  uint64
-	onSnap     func(CellID, []byte)
-	resumeSnap func(CellID) []byte
-	snapID     *CellID
 }
 
 // cellEntry is one cell plus the metadata remote execution needs: the
@@ -58,8 +47,7 @@ func newRunner(o Options) *runner {
 		ctx = context.Background()
 	}
 	return &runner{par: o.parallelism(), ctx: ctx, prog: o.Progress,
-		stream: o.StreamStats, sess: o.cells,
-		snapEvery: o.SnapshotEvery, onSnap: o.OnSnapshot, resumeSnap: o.ResumeSnapshot}
+		stream: o.StreamStats, sess: o.cells}
 }
 
 // add appends one bare-computation cell. Cells must not read other
@@ -123,7 +111,6 @@ func (r *runner) run(wr *workloadRef, cfg diskthru.Config) *diskthru.Result {
 		}
 		cfg.Progress = r.prog
 		cfg.StreamStats = cfg.StreamStats || r.stream
-		r.armSnapshots(&cfg)
 		v, err := diskthru.RunContext(r.ctx, w, cfg)
 		if err != nil {
 			return err
@@ -132,24 +119,6 @@ func (r *runner) run(wr *workloadRef, cfg diskthru.Config) *diskthru.Result {
 		return nil
 	}, res)
 	return res
-}
-
-// armSnapshots wires the session's intra-cell snapshot hooks into one
-// cell's replay config. A no-op unless capture armed this cell as the
-// RunCell target (see the runner struct comment).
-func (r *runner) armSnapshots(cfg *diskthru.Config) {
-	if r.snapID == nil {
-		return
-	}
-	id := *r.snapID
-	if r.onSnap != nil && r.snapEvery > 0 {
-		sink := r.onSnap
-		cfg.SnapshotEvery = r.snapEvery
-		cfg.OnSnapshot = func(state []byte) { sink(id, state) }
-	}
-	if r.resumeSnap != nil {
-		cfg.Resume = r.resumeSnap(id)
-	}
 }
 
 // compare is diskthru.Compare decomposed into one cell per system, with
@@ -167,7 +136,6 @@ func (r *runner) compare(wr *workloadRef, base diskthru.Config, systems []diskth
 			cfg := base.WithSystem(sys)
 			cfg.Progress = r.prog
 			cfg.StreamStats = cfg.StreamStats || r.stream
-			r.armSnapshots(&cfg)
 			v, err := diskthru.RunContext(r.ctx, w, cfg)
 			if err != nil {
 				return fmt.Errorf("%v: %w", sys, err)
@@ -274,14 +242,6 @@ func (r *runner) capture(id CellID) error {
 	if id.Index >= len(r.cells) {
 		return fmt.Errorf("experiments: phase %d has %d cells, no index %d",
 			id.Phase, len(r.cells), id.Index)
-	}
-	if (r.onSnap != nil || r.resumeSnap != nil) && r.cells[id.Index].slot != nil {
-		// Arm intra-cell snapshots for the target only. Safe without
-		// locking: capture runs serially on the driver goroutine, after
-		// every earlier phase's worker pool has drained, and the target
-		// cell executes inside r.cell below on this same goroutine.
-		tid := id
-		r.snapID = &tid
 	}
 	if err := r.cell(id.Index); err != nil {
 		return err

@@ -48,8 +48,8 @@ func (o *Options) initWarm(name string) {
 }
 
 // warmScope fingerprints the workload-shaping inputs. Parallelism, Ctx,
-// StreamStats, Progress and the snapshot hooks are excluded on purpose:
-// none of them affect what a driver builds.
+// StreamStats and Progress are excluded on purpose: none of them affect
+// what a driver builds.
 func warmScope(name string, o Options) string {
 	return fmt.Sprintf("%s|syn=%d|web=%g|proxy=%g|file=%g|seed=%d",
 		name, o.SynRequests, o.WebScale, o.ProxyScale, o.FileScale, o.Seed)

@@ -23,6 +23,10 @@
 //     cell from a busy home — the classic stealing argument, expressed
 //     through slot acquisition rather than per-daemon deques.
 //
+//   - One simulator. Every daemon reports diskthru.ModelDigest on
+//     /healthz; one whose digest differs from the coordinator's is
+//     treated as down and never receives work.
+//
 //   - Failover, not babysitting. Liveness comes from /healthz probes
 //     plus dispatch-path evidence (connection errors mark a daemon down
 //     immediately; a draining daemon stops receiving work before its
@@ -58,6 +62,7 @@ import (
 	"sync"
 	"time"
 
+	"diskthru"
 	"diskthru/internal/experiments"
 	"diskthru/internal/journal"
 	"diskthru/internal/metrics"
@@ -103,8 +108,9 @@ type Config struct {
 	// Resume makes Run reload the journal in StateDir first: cells with
 	// a journaled payload are injected without dispatch, the rest run
 	// normally. The journal carries a fingerprint of (experiment,
-	// options); Run fails closed on a mismatch rather than merging
-	// cells from a different sweep. Requires StateDir.
+	// options) and the model digest of the binary that wrote it; Run
+	// fails closed on a mismatch of either rather than merging cells
+	// from a different sweep or simulator. Requires StateDir.
 	Resume bool
 	// Logger receives structured dispatch records; nil discards.
 	Logger *slog.Logger
@@ -127,6 +133,9 @@ type daemon struct {
 	draining  bool
 	inflight  int
 	notBefore time.Time // backpressure gate: no submissions before this
+	// badModel records that the last probe reported a foreign model
+	// digest; the mismatch is logged when it appears, not on every probe.
+	badModel bool
 }
 
 // eligible reports whether the daemon can take one more cell now, and
@@ -173,6 +182,17 @@ func (d *daemon) setHealth(up, draining bool) {
 	d.mu.Unlock()
 }
 
+// noteModel records whether the daemon's last probe reported a foreign
+// model digest and reports whether that mismatch is new, i.e. not yet
+// logged.
+func (d *daemon) noteModel(foreign bool) (first bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	first = foreign && !d.badModel
+	d.badModel = foreign
+	return first
+}
+
 func (d *daemon) snapshot() (up, draining bool, inflight int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -186,9 +206,13 @@ func (d *daemon) snapshot() (up, draining bool, inflight int) {
 type Coordinator struct {
 	cfg     Config
 	daemons []*daemon
-	client  *http.Client
-	log     *slog.Logger
-	reg     *metrics.Registry
+	// model is this binary's diskthru.ModelDigest. Daemons reporting
+	// another one get no work, and a sweep journal written under
+	// another one is not resumed.
+	model  string
+	client *http.Client
+	log    *slog.Logger
+	reg    *metrics.Registry
 
 	dispatched *metrics.CounterVec // accepted submissions, by daemon
 	stolen     *metrics.Counter
@@ -262,6 +286,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:      cfg,
+		model:    diskthru.ModelDigest(),
 		client:   client,
 		log:      logger,
 		reg:      reg,
@@ -393,11 +418,13 @@ func (c *Coordinator) Run(ctx context.Context, experiment string, o experiments.
 }
 
 // sweepRecord is one entry of the coordinator's journal: a "sweep"
-// header fingerprinting the run, or one accepted "cell" payload.
+// header fingerprinting the run and naming the simulator model that
+// computed its payloads, or one accepted "cell" payload.
 type sweepRecord struct {
 	Type       string              `json:"type"`
 	Experiment string              `json:"experiment,omitempty"`
 	Spec       *serve.Spec         `json:"spec,omitempty"`
+	Model      string              `json:"model,omitempty"`
 	Cell       *experiments.CellID `json:"cell,omitempty"`
 	Payload    []byte              `json:"payload,omitempty"`
 }
@@ -417,11 +444,11 @@ func (c *Coordinator) baseSpec() serve.Spec {
 // openSweepJournal prepares StateDir for this sweep. Without Resume any
 // previous journal is discarded and a fresh one started with this
 // sweep's fingerprint header. With Resume the journal is replayed
-// first: a fingerprint mismatch fails the run (merging another sweep's
-// cells would silently corrupt the table), a matching one loads every
-// journaled payload into the resumed set — injected without dispatch —
-// and marks those cells accepted. A torn final record (the coordinator
-// died mid-append) is truncated away by the journal layer.
+// first: a fingerprint or model-digest mismatch fails the run (merging
+// another sweep's cells, or another simulator's, would silently corrupt
+// the table), a matching one loads every journaled payload into the
+// resumed set, injected without dispatch. A torn final record (the
+// coordinator died mid-append) is truncated away by the journal layer.
 func (c *Coordinator) openSweepJournal() error {
 	if err := os.MkdirAll(c.cfg.StateDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: state dir: %w", err)
@@ -434,9 +461,8 @@ func (c *Coordinator) openSweepJournal() error {
 	}
 	base := c.baseSpec()
 	var (
-		headerExp  string
-		headerSpec *serve.Spec
-		resumed    = make(map[experiments.CellID][]byte)
+		header  *sweepRecord
+		resumed = make(map[experiments.CellID][]byte)
 	)
 	w, torn, err := journal.Open(path, func(p []byte) error {
 		var rec sweepRecord
@@ -445,7 +471,7 @@ func (c *Coordinator) openSweepJournal() error {
 		}
 		switch rec.Type {
 		case "sweep":
-			headerExp, headerSpec = rec.Experiment, rec.Spec
+			header = &rec
 		case "cell":
 			if rec.Cell != nil {
 				resumed[*rec.Cell] = rec.Payload
@@ -459,25 +485,25 @@ func (c *Coordinator) openSweepJournal() error {
 	if torn {
 		c.log.Warn("journal had a torn final record; tail truncated")
 	}
-	if headerExp != "" {
+	if header != nil {
 		wantFP, _ := json.Marshal(base)
-		gotFP, _ := json.Marshal(headerSpec)
-		if headerExp != c.experiment || string(wantFP) != string(gotFP) {
+		gotFP, _ := json.Marshal(header.Spec)
+		if header.Experiment != c.experiment || string(wantFP) != string(gotFP) {
 			_ = w.Close()
 			return fmt.Errorf("fleet: journal in %s fingerprints a different sweep (%s) than requested (%s); not resuming",
-				c.cfg.StateDir, headerExp, c.experiment)
+				c.cfg.StateDir, header.Experiment, c.experiment)
+		}
+		if header.Model != c.model {
+			_ = w.Close()
+			return fmt.Errorf("fleet: journal in %s was written by a different simulator (model %q, this binary %q); not resuming",
+				c.cfg.StateDir, header.Model, c.model)
 		}
 		c.resumed = resumed
-		c.mu.Lock()
-		for id := range resumed {
-			c.accepted[id] = true
-		}
-		c.mu.Unlock()
 		c.log.Info("resuming sweep from journal", "cells_journaled", len(resumed))
 	} else {
 		// Empty journal (fresh run, or resume of a sweep that never got
 		// its header out): stamp the fingerprint before any cell.
-		b, err := json.Marshal(sweepRecord{Type: "sweep", Experiment: c.experiment, Spec: &base})
+		b, err := json.Marshal(sweepRecord{Type: "sweep", Experiment: c.experiment, Spec: &base, Model: c.model})
 		if err == nil {
 			err = w.Append(b)
 		}
@@ -567,7 +593,12 @@ func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error)
 		return err
 	}
 	if payload, ok := c.resumed[id]; ok {
+		// Accepted only once injected: a payload that fails to decode
+		// must leave the cell open for the re-dispatch below.
 		if err := inject(payload); err == nil {
+			c.mu.Lock()
+			c.accepted[id] = true
+			c.mu.Unlock()
 			c.retain(id, payload)
 			c.resumedC.Inc()
 			return nil
@@ -911,7 +942,11 @@ func (c *Coordinator) probeAll() {
 }
 
 // probe asks one daemon's /healthz and applies the answer: 200 -> up,
-// 503/"draining" -> alive but not accepting, anything else -> down.
+// 503/"draining" -> alive but not accepting, anything else -> down. A
+// daemon whose model digest is missing or differs from the
+// coordinator's counts as down whatever its status: its payloads may
+// differ from the bytes this binary computes, so merging them could
+// corrupt the table silently.
 func (c *Coordinator) probe(d *daemon) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -933,11 +968,20 @@ func (c *Coordinator) probe(d *daemon) {
 	var body struct {
 		Status   string `json:"status"`
 		Draining bool   `json:"draining"`
+		Model    string `json:"model"`
 	}
 	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body)
 	up := resp.StatusCode == http.StatusOK && body.Status == "ok"
 	draining := body.Draining || body.Status == "draining" ||
 		resp.StatusCode == http.StatusServiceUnavailable
+	foreign := (up || draining) && body.Model != c.model
+	if d.noteModel(foreign) {
+		c.log.Warn("daemon runs a different simulator; no work dispatched to it",
+			"daemon", d.name, "daemon_model", body.Model, "coordinator_model", c.model)
+	}
+	if foreign {
+		up, draining = false, false
+	}
 	wasUp, wasDraining, _ := d.snapshot()
 	d.setHealth(up || draining, draining)
 	switch {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"diskthru"
 	"diskthru/internal/experiments"
 	"diskthru/internal/metrics"
 	"diskthru/internal/serve"
@@ -171,7 +172,7 @@ func TestFleetDrainingDaemonGetsNoWork(t *testing.T) {
 	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
 			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte(`{"status":"draining","draining":true}`)) //nolint:errcheck
+			w.Write([]byte(`{"status":"draining","draining":true,"model":"` + diskthru.ModelDigest() + `"}`)) //nolint:errcheck
 			return
 		}
 		hits.Store(r.Method+" "+r.URL.Path, true)

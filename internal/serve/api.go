@@ -20,8 +20,8 @@ import (
 //	GET    /v1/jobs/{id}          status + result      -> 200 View | 404
 //	GET    /v1/jobs/{id}/progress NDJSON live progress -> 200 stream | 404
 //	DELETE /v1/jobs/{id}          cancel               -> 202 View | 404
-//	GET    /healthz               liveness; 200 "ok" serving,
-//	                              503 "draining" while draining
+//	GET    /healthz               liveness + model digest; 200 "ok"
+//	                              serving, 503 "draining" while draining
 //	GET    /metrics               Prometheus text; ?format=legacy for the
 //	                              pre-registry listing (see Metrics)
 //
@@ -143,10 +143,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, v)
 }
 
-// handleHealthz reports liveness. A draining daemon answers 503 with
-// status "draining" so load balancers and the fleet coordinator stop
-// dispatching to it while it finishes accepted work — new submissions
-// would only bounce off admission with 503 anyway.
+// handleHealthz reports liveness and the simulator's model digest. A
+// draining daemon answers 503 with status "draining" so load balancers
+// and the fleet coordinator stop dispatching to it while it finishes
+// accepted work — new submissions would only bounce off admission with
+// 503 anyway.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ok", http.StatusOK
 	draining := s.Draining()
@@ -156,6 +157,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, map[string]any{
 		"status":   status,
 		"draining": draining,
+		"model":    s.model,
 	})
 }
 

@@ -47,7 +47,6 @@ const journalFile = "serve.journal"
 //	submit   Job, Spec, SubmittedAt
 //	start    Job, At
 //	cell     Job, Cell, Payload
-//	snap     Job, Cell, Payload (an intra-cell snapshot; latest wins)
 //	done     Job, At, Result
 //	failed   Job, At, Error
 //	canceled Job, At, Error
@@ -91,7 +90,6 @@ type replayJob struct {
 	errMsg    string
 	finished  time.Time
 	cells     map[experiments.CellID][]byte
-	snaps     map[experiments.CellID][]byte
 }
 
 // recover opens (creating if needed) the journal under dir, replays it
@@ -130,16 +128,6 @@ func (s *Server) recover(dir string) (pending []*job, err error) {
 			if r := byID[rec.Job]; r != nil && rec.Cell != nil {
 				r.cells[*rec.Cell] = rec.Payload
 			}
-		case "snap":
-			// Intra-cell snapshots supersede each other; only the newest
-			// matters. Older daemons that predate this record type skip it
-			// via the default branch, by design.
-			if r := byID[rec.Job]; r != nil && rec.Cell != nil {
-				if r.snaps == nil {
-					r.snaps = make(map[experiments.CellID][]byte)
-				}
-				r.snaps[*rec.Cell] = rec.Payload
-			}
 		case "done":
 			if r := byID[rec.Job]; r != nil {
 				r.state, r.result, r.finished = StateDone, rec.Result, rec.At
@@ -149,8 +137,9 @@ func (s *Server) recover(dir string) (pending []*job, err error) {
 				r.state, r.errMsg, r.finished = State(rec.Type), rec.Error, rec.At
 			}
 		default:
-			// A record type from a future version: harmless to skip,
-			// fatal to guess at.
+			// A record type from another version — a future one, or the
+			// "snap" intra-cell snapshots older daemons wrote: harmless
+			// to skip, fatal to guess at.
 			s.log.Warn("skipping unknown journal record type", "type", rec.Type)
 		}
 		return nil
@@ -186,11 +175,10 @@ func (s *Server) recover(dir string) (pending []*job, err error) {
 		} else {
 			j.state = StateQueued
 			j.checkpoint = r.cells
-			j.snapshots = r.snaps
 			s.recoveredResumed++
 			pending = append(pending, j)
 			j.log.Info("re-admitting unfinished job from journal",
-				"cells_checkpointed", len(r.cells), "snapshots", len(r.snaps))
+				"cells_checkpointed", len(r.cells))
 		}
 		s.jobs[id] = j
 		s.order = append(s.order, id)
@@ -214,9 +202,6 @@ type Checkpoint struct {
 	s    *Server
 	j    *job
 	have map[experiments.CellID][]byte
-	// snaps holds journaled intra-cell snapshots from a crashed attempt
-	// of this job; read-only during the run.
-	snaps map[experiments.CellID][]byte
 }
 
 // lookup returns the journaled payload for id, if any.
@@ -233,25 +218,6 @@ func (ck *Checkpoint) replayed() {
 	if ck != nil {
 		ck.s.cellsReplayed.Add(1)
 	}
-}
-
-// lookupSnap returns the journaled intra-cell snapshot for id, if any.
-func (ck *Checkpoint) lookupSnap(id experiments.CellID) ([]byte, bool) {
-	if ck == nil || ck.snaps == nil {
-		return nil, false
-	}
-	p, ok := ck.snaps[id]
-	return p, ok
-}
-
-// recordSnap journals one intra-cell snapshot. Best-effort, like
-// recordCell: losing one costs resume granularity, not correctness.
-func (ck *Checkpoint) recordSnap(id experiments.CellID, state []byte) {
-	if ck == nil {
-		return
-	}
-	cid := id
-	_ = ck.s.appendRecord(record{Type: "snap", Job: ck.j.id, Cell: &cid, Payload: state})
 }
 
 // recordCell journals one completed cell's payload. Best-effort: a dead

@@ -184,10 +184,6 @@ type job struct {
 	// checkpoint holds the journaled per-cell payloads a recovered job
 	// resumes from; nil for fresh submissions. Read-only once set.
 	checkpoint map[experiments.CellID][]byte
-	// snapshots holds the journaled intra-cell snapshots (latest per
-	// cell) a recovered job fast-forwards from; nil for fresh
-	// submissions. Read-only once set.
-	snapshots map[experiments.CellID][]byte
 	// cancel interrupts the running replay; non-nil only while the job
 	// is running.
 	cancel func()

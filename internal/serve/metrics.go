@@ -117,23 +117,14 @@ func (s *Server) initMetrics() {
 		})
 
 	// Warm-start families. Like the durability families they always
-	// exist, reading zero when the cache/snapshot machinery is off, so
-	// dashboards need no conditional scrape.
+	// exist, reading zero when the cache is off or no phase results are
+	// submitted, so dashboards need no conditional scrape.
 	r.NewCounterFunc("serve_cells_phase_injected_total",
 		"Earlier-phase cells of cell jobs satisfied by injecting submitted phase results instead of re-simulating.",
 		func() float64 { return float64(s.phaseInjected.Load()) })
 	r.NewCounterFunc("serve_cells_phase_resimulated_total",
 		"Earlier-phase cells of cell jobs re-simulated because no usable phase result was submitted.",
 		func() float64 { return float64(s.phaseResimulated.Load()) })
-	r.NewCounterFunc("serve_snapshots_taken_total",
-		"Intra-cell replay snapshots journaled by running cell jobs.",
-		func() float64 { return float64(s.snapsTaken.Load()) })
-	r.NewCounterFunc("serve_snapshot_restores_total",
-		"Mid-cell resume attempts from a journaled snapshot, by outcome: verified resumes fast-forwarded bit-exactly, mismatches fell back to a cold run.",
-		func() float64 { return float64(s.snapVerified.Load()) }, "result", "verified")
-	r.NewCounterFunc("serve_snapshot_restores_total",
-		"Mid-cell resume attempts from a journaled snapshot, by outcome: verified resumes fast-forwarded bit-exactly, mismatches fell back to a cold run.",
-		func() float64 { return float64(s.snapMismatch.Load()) }, "result", "mismatch")
 	for _, kind := range []string{kindPayload, kindWorkload} {
 		kind := kind
 		i := kindIdx(kind)
@@ -166,7 +157,7 @@ func (s *Server) initMetrics() {
 		"HTTP request latency, by route pattern.",
 		metrics.DefBuckets, "route")
 
-	info := map[string]string{"goversion": "unknown", "version": "unknown"}
+	info := map[string]string{"goversion": "unknown", "version": "unknown", "model": s.model}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		info["goversion"] = bi.GoVersion
 		if bi.Main.Version != "" {
@@ -174,7 +165,7 @@ func (s *Server) initMetrics() {
 		}
 	}
 	r.NewInfo("diskthru_build_info",
-		"Build metadata; the value is always 1.", info)
+		"Build metadata and the simulator's model digest; the value is always 1.", info)
 }
 
 // Registry exposes the server's metric registry, for embedding the

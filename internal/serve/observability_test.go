@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"diskthru"
 	"diskthru/internal/metrics"
 )
 
@@ -188,7 +189,7 @@ func TestMetricsLint(t *testing.T) {
 	if b <= a {
 		t.Errorf("http_requests_total{/metrics} not monotone: %v then %v", a, b)
 	}
-	if findSample(t, second, "diskthru_build_info", nil) != 1 {
+	if findSample(t, second, "diskthru_build_info", map[string]string{"model": diskthru.ModelDigest()}) != 1 {
 		t.Errorf("build_info != 1")
 	}
 }

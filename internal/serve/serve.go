@@ -81,12 +81,6 @@ type Config struct {
 	// answered from memory instead of re-simulated. Zero means 64 MiB;
 	// negative disables caching entirely.
 	CacheBytes int64
-	// SnapshotEvery arms intra-cell checkpointing for cell jobs on a
-	// journal-enabled daemon: roughly every this many simulation events
-	// the replay engine's verified state snapshot is journaled, and a
-	// SIGKILLed cell resumes mid-flight at the next boot instead of
-	// restarting from zero. Zero disables; ignored without StateDir.
-	SnapshotEvery uint64
 	// DisablePhaseInjection makes the daemon re-simulate earlier phases
 	// of cell jobs even when the submission carries their payloads
 	// (Spec.PhaseResults). Benchmark/diagnostic switch: it isolates the
@@ -111,6 +105,10 @@ type Server struct {
 	cfg   Config
 	queue chan *job
 	log   *slog.Logger
+	// model is diskthru.ModelDigest, reported by /healthz and
+	// diskthru_build_info so a fleet coordinator can refuse a daemon
+	// that runs a different simulator.
+	model string
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -142,9 +140,6 @@ type Server struct {
 	cache            *warmCache
 	phaseInjected    atomic.Int64 // earlier-phase cells injected from Spec.PhaseResults
 	phaseResimulated atomic.Int64 // earlier-phase cells re-simulated (no usable prior)
-	snapsTaken       atomic.Int64 // intra-cell snapshots journaled
-	snapVerified     atomic.Int64 // mid-cell resumes that fast-forwarded and verified
-	snapMismatch     atomic.Int64 // resumes rejected by verification; cell re-ran cold
 	// perExp summarizes wall-clock seconds of completed (done) jobs.
 	perExp map[string]*stats.Summary
 
@@ -179,6 +174,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		log:    logger,
+		model:  diskthru.ModelDigest(),
 		jobs:   make(map[string]*job),
 		idem:   make(map[string]string),
 		perExp: make(map[string]*stats.Summary),
@@ -226,10 +222,9 @@ func New(cfg Config) (*Server, error) {
 // as they finish and journaled ones are injected instead of re-run —
 // the cell decomposition is proven byte-identical to a plain run.
 // Warm-start layers (cell jobs): the journal checkpoint, then the
-// in-memory payload cache, then phase injection from Spec.PhaseResults,
-// then — if a journaled intra-cell snapshot exists — a verified mid-cell
-// resume. Every layer preserves byte identity; each just starts closer
-// to the finish line.
+// in-memory payload cache, then phase injection from Spec.PhaseResults.
+// Every layer preserves byte identity; each just starts closer to the
+// finish line.
 func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck *Checkpoint) (string, error) {
 	o := sp.options()
 	o.Ctx = ctx
@@ -291,39 +286,9 @@ func (s *Server) runCellSpec(sp Spec, o experiments.Options, ck *Checkpoint) (st
 			prior[pr.Cell] = pr.Payload
 		}
 	}
-	// Layer 4: intra-cell snapshots. On a journal-enabled daemon the
-	// target cell checkpoints its verified replay state every
-	// SnapshotEvery events, and a journaled snapshot from a crashed
-	// attempt fast-forwards this one mid-cell.
-	if ck != nil && s.cfg.SnapshotEvery > 0 {
-		o.SnapshotEvery = s.cfg.SnapshotEvery
-		o.OnSnapshot = func(cid experiments.CellID, state []byte) {
-			ck.recordSnap(cid, state)
-			s.snapsTaken.Add(1)
-		}
-	}
-	resumed := false
-	if snap, ok := ck.lookupSnap(id); ok {
-		o.ResumeSnapshot = func(experiments.CellID) []byte {
-			resumed = true
-			return snap
-		}
-	}
 	res, err := experiments.RunCellWarm(sp.Experiment, o, id, prior)
-	if resumed && err != nil && errors.Is(err, diskthru.ErrSnapshotResume) {
-		// The journaled snapshot no longer verifies bit-for-bit (version
-		// skew, torn record): a warm-start miss, not a job failure. Run
-		// the cell cold.
-		s.snapMismatch.Add(1)
-		resumed = false
-		o.ResumeSnapshot = nil
-		res, err = experiments.RunCellWarm(sp.Experiment, o, id, prior)
-	}
 	if err != nil {
 		return "", err
-	}
-	if resumed {
-		s.snapVerified.Add(1)
 	}
 	s.phaseInjected.Add(int64(res.PhaseCellsInjected))
 	s.phaseResimulated.Add(int64(res.PhaseCellsSimulated))
@@ -624,7 +589,7 @@ func (s *Server) execute(j *job) {
 
 	var ck *Checkpoint
 	if s.jnl != nil {
-		ck = &Checkpoint{s: s, j: j, have: j.checkpoint, snaps: j.snapshots}
+		ck = &Checkpoint{s: s, j: j, have: j.checkpoint}
 	}
 	result, err := s.runJob(ctx, j, ck)
 	if err == nil && ctx.Err() == context.DeadlineExceeded {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"diskthru"
 	"diskthru/internal/experiments"
 	"diskthru/internal/probe"
 )
@@ -508,6 +509,15 @@ func TestListHealthzMetrics(t *testing.T) {
 	status, _, raw = h.request("GET", "/healthz", nil)
 	if status != http.StatusOK || !bytes.Contains(raw, []byte(`"ok"`)) {
 		t.Fatalf("healthz: %d %s", status, raw)
+	}
+	var health struct {
+		Model string `json:"model"`
+	}
+	if err := json.Unmarshal(raw, &health); err != nil {
+		t.Fatal(err)
+	}
+	if want := diskthru.ModelDigest(); health.Model != want {
+		t.Errorf("healthz model = %q, want %q", health.Model, want)
 	}
 
 	release()
