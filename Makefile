@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-compare bench-long fuzz profile serve-smoke fleet-smoke crash-smoke metrics-lint
+.PHONY: check vet build test race bench bench-compare bench-ab bench-long fuzz profile serve-smoke fleet-smoke crash-smoke metrics-lint
 
 check: vet build race fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long
 
@@ -79,6 +79,72 @@ bench-compare:
 			printf "bench-compare: fleet warm-start speedup %.2fx (replay %.0f ns/op vs warm %.0f ns/op)\n", ratio, replay, warm; \
 			if (ratio < 1.5) { print "bench-compare: warm-start speedup below the 1.5x gate"; exit 1 } \
 		}'
+
+# Interleaved A/B of the perfbench benchmark on this host:
+#
+#   make bench-ab BASE=<rev> WORKLOAD=web-replay PAIRS=10
+#
+# checks BASE out with `git worktree` under .bench_build/ab-base, then
+# runs `perfbench/run.py --trace 0 --seconds 30` PAIRS times on each
+# side, alternating which side runs first and giving each pair a fresh
+# seed (both sides of a pair share it). Each side builds from its own
+# sources. It prints each end-to-end metric's median and quartiles per
+# side, the head/base ratio of the medians, and the per-pair head/base
+# ratio of sweep_s, the one wall-clock comparison a change should quote,
+# and whether both sides of every pair reported the same exact work
+# counts. Raw outputs stay in .bench_build/ab/<workload>/.
+BASE ?= HEAD
+WORKLOAD ?= web-replay
+PAIRS ?= 10
+bench-ab:
+	@set -e; \
+	wt=.bench_build/ab-base; out=.bench_build/ab/$(WORKLOAD); \
+	rm -rf $$out; mkdir -p $$out; \
+	git worktree remove --force $$wt 2>/dev/null || rm -rf $$wt; \
+	git worktree prune; \
+	git worktree add --detach $$wt $(BASE) >/dev/null; \
+	trap 'git worktree remove --force '$$wt' 2>/dev/null || true' EXIT; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		seed=$$((1000 + i)); order="base head"; \
+		[ $$((i % 2)) -eq 0 ] && order="head base"; \
+		for side in $$order; do \
+			dir=.; [ $$side = base ] && dir=$$wt; \
+			echo "bench-ab: pair $$i/$(PAIRS) $$side (seed $$seed)"; \
+			(cd $$dir && python3 perfbench/run.py --workload $(WORKLOAD) \
+				--trace 0 --seed $$seed --seconds 30) >$$out/$$side.$$i.txt; \
+		done; \
+	done; \
+	awk ' \
+		function sortv(a, n,   i, j, t) { \
+			for (i = 2; i <= n; i++) { t = a[i]; \
+				for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t } } \
+		function q(a, n, p,   x, k) { x = 1 + p * (n - 1); k = int(x); \
+			return k >= n ? a[n] : a[k] + (x - k) * (a[k+1] - a[k]) } \
+		FNR == 1 { split(FILENAME, f, "/"); split(f[length(f)], g, "."); side = g[1]; pair = g[2] } \
+		$$1 ~ /^(setup_s|sweep_s|warm_sweep_s|cell_p50_ms|cell_tail_ms|events_per_s|cpu_s|alloc_mb|peak_rss_mb|failed_frac)$$/ { \
+			if (!($$1 in seen)) { seen[$$1] = 1; names[++nm] = $$1 } \
+			val[side, $$1, ++cnt[side, $$1]] = $$2; byPair[side, $$1, pair] = $$2 } \
+		$$1 == "checks:" && $$0 !~ /reference=true/ { bad = bad " " side "." pair } \
+		$$1 == "count" { work[side, pair] = work[side, pair] " " $$2 "=" $$3 } \
+		END { \
+			printf "%-13s %35s %35s %9s\n", "metric", "base median [q1, q3]", "head median [q1, q3]", "head/base"; \
+			for (m = 1; m <= nm; m++) { nme = names[m]; \
+				nb = cnt["base", nme]; nh = cnt["head", nme]; \
+				for (i = 1; i <= nb; i++) b[i] = val["base", nme, i]; sortv(b, nb); \
+				for (i = 1; i <= nh; i++) h[i] = val["head", nme, i]; sortv(h, nh); \
+				mb = q(b, nb, 0.5); mh = q(h, nh, 0.5); \
+				printf "%-13s %12.4g [%9.4g, %9.4g] %12.4g [%9.4g, %9.4g] %9s\n", nme, \
+					mb, q(b, nb, 0.25), q(b, nb, 0.75), mh, q(h, nh, 0.25), q(h, nh, 0.75), \
+					mb != 0 ? sprintf("%.3f", mh / mb) : "-" } \
+			line = ""; better = 0; np = 0; \
+			for (p = 1; p <= $(PAIRS); p++) if ((("base", "sweep_s", p) in byPair) && (("head", "sweep_s", p) in byPair)) { \
+				r = byPair["head", "sweep_s", p] / byPair["base", "sweep_s", p]; np++; \
+				if (r < 1) better++; line = line sprintf(" %.3f", r) } \
+			printf "sweep_s head/base per pair:%s (head faster in %d of %d)\n", line, better, np; \
+			diff = ""; for (p = 1; p <= $(PAIRS); p++) if (work["base", p] != work["head", p]) diff = diff " " p; \
+			printf "exact work counts: %s\n", diff == "" ? "equal in every pair" : "differ in pairs" diff; \
+			if (bad != "") { printf "bench-ab: runs without checks reference=true:%s\n", bad; exit 1 } }' \
+		$$out/base.*.txt $$out/head.*.txt
 
 # The flat-heap gate for long-horizon runs: BenchmarkLongRun replays the
 # longrun source workload at 1x and 10x the simulated makespan and fails

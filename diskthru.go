@@ -215,8 +215,9 @@ func (r *rig) diskProbes() []probe.DiskProbe {
 }
 
 // buildRig assembles the simulated array for a workload: geometry,
-// capacity check, FOR bitmaps, and one drive per physical disk. tracer
-// (nil = tracing off) is shared by every drive; records carry disk ids.
+// capacity check, the workload's FOR bitmaps for this striping, and one
+// drive per physical disk. tracer (nil = tracing off) is shared by
+// every drive; records carry disk ids.
 func buildRig(w *Workload, cfg Config, tracer probe.Tracer) (*rig, error) {
 	inner := w.inner
 	g := geom.Ultrastar36Z15()
@@ -240,7 +241,7 @@ func buildRig(w *Workload, cfg Config, tracer probe.Tracer) (*rig, error) {
 
 	var bitmaps []*fslayout.Bitmap
 	if cfg.System == FOR {
-		bitmaps = fslayout.BuildBitmaps(inner.Layout, striper)
+		bitmaps = w.forBitmaps(striper) // shared read-only by every cell
 	}
 
 	disks := make([]*disk.Disk, cfg.Disks)
@@ -346,7 +347,7 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 
 	if cfg.HDCKB > 0 {
 		perDisk := cfg.HDCKB << 10 / r.geom.BlockSize
-		planTrace := planningTrace(inner.Trace, cfg)
+		ranked := w.ranking(cfg.Planner)
 		switch {
 		case cfg.CoopHDC && r.replicas == 2:
 			// Cooperative: plan twice the per-controller capacity per
@@ -355,14 +356,14 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 			// split alternates whole contiguous runs, never single
 			// blocks, so multi-block requests stay fully pinned on one
 			// replica.
-			plan := host.PlanHDC(planTrace, inner.Layout, r.striper, 2*perDisk)
+			plan := host.PlanHDC(ranked, r.striper, 2*perDisk)
 			for d := 0; d < r.logical; d++ {
 				a, bHalf := splitRuns(plan[d])
 				r.disks[2*d].PinBlocks(a)
 				r.disks[2*d+1].PinBlocks(bHalf)
 			}
 		default:
-			plan := host.PlanHDC(planTrace, inner.Layout, r.striper, perDisk)
+			plan := host.PlanHDC(ranked, r.striper, perDisk)
 			for i, d := range r.disks {
 				d.PinBlocks(plan[i/r.replicas])
 			}

@@ -79,9 +79,9 @@ type extent struct {
 }
 
 type segment struct {
-	lo, hi int64  // run last inserted; the segment's extents lie inside it
-	live   int    // blocks the segment still owns
-	lru    uint64 // last-use stamp
+	lo, hi     int64 // run last inserted; the segment's extents lie inside it
+	live       int   // blocks the segment still owns
+	prev, next int32 // recency list neighbours; nilNode at the ends
 }
 
 // SegmentStore is the conventional segment-based controller cache: up to
@@ -92,13 +92,15 @@ type segment struct {
 // search. Each block has at most one owner: a newer segment whose run
 // overlaps an older one takes the shared blocks over, trimming or
 // splitting the older segment's extents without counting an eviction.
+// Recency is an intrusive doubly linked list through the segments,
+// least recently used at the head, so the victim is read in O(1).
 type SegmentStore struct {
-	segBlocks int
-	segs      []segment
-	ext       []extent // sorted by lo, disjoint
-	resident  int
-	clock     uint64
-	evicted   uint64
+	segBlocks  int
+	segs       []segment
+	ext        []extent // sorted by lo, disjoint
+	head, tail int32    // recency list: head least, tail most recently used
+	resident   int
+	evicted    uint64
 }
 
 // NewSegmentStore returns a store with numSegments segments of
@@ -107,13 +109,21 @@ func NewSegmentStore(numSegments, segmentBlocks int) *SegmentStore {
 	if numSegments <= 0 || segmentBlocks <= 0 {
 		panic("cache: segment store needs positive dimensions")
 	}
-	return &SegmentStore{
+	s := &SegmentStore{
 		segBlocks: segmentBlocks,
 		segs:      make([]segment, numSegments),
 		// One extent per segment plus a split's worth of headroom;
 		// heavier fragmentation grows the array once and keeps it.
-		ext: make([]extent, 0, 2*numSegments+2),
+		ext:  make([]extent, 0, 2*numSegments+2),
+		tail: int32(numSegments - 1),
 	}
+	// Unused segments start in index order, so the lowest index goes
+	// first among segments never used.
+	for i := range s.segs {
+		s.segs[i].prev, s.segs[i].next = int32(i-1), int32(i+1)
+	}
+	s.segs[numSegments-1].next = nilNode
+	return s
 }
 
 // Name implements Store.
@@ -170,32 +180,40 @@ func (s *SegmentStore) RunEnd(lba int64) int64 {
 	return end
 }
 
-// TouchRange implements Store. Owners are stamped once per extent in
-// ascending order. A segment's final stamp then sits where its last
-// block in the range sits, which is the relative LRU order one Touch per
-// block would leave.
+// TouchRange implements Store. Owners move to the most-recent end once
+// per extent in ascending order. A segment's final position then
+// matches its last block in the range, which is the relative LRU order
+// one Touch per block would leave.
 func (s *SegmentStore) TouchRange(lba int64, count int) {
 	if count <= 0 {
 		return
 	}
 	end := lba + int64(count)
 	for i := s.search(lba); i < len(s.ext) && s.ext[i].lo < end; i++ {
-		s.clock++
-		s.segs[s.ext[i].seg].lru = s.clock
+		s.use(s.ext[i].seg)
 	}
 }
 
-// victim returns the least-recently-used segment, lowest index first on
-// ties.
-func (s *SegmentStore) victim() int32 {
-	v := int32(0)
-	for i := 1; i < len(s.segs); i++ {
-		if s.segs[i].lru < s.segs[v].lru {
-			v = int32(i)
-		}
+// use moves segment v to the most-recently-used end of the list.
+func (s *SegmentStore) use(v int32) {
+	if s.tail == v {
+		return
 	}
-	return v
+	sg := &s.segs[v]
+	if sg.prev == nilNode {
+		s.head = sg.next
+	} else {
+		s.segs[sg.prev].next = sg.next
+	}
+	s.segs[sg.next].prev = sg.prev // v is not the tail, so next exists
+	s.segs[s.tail].next = v
+	sg.prev, sg.next = s.tail, nilNode
+	s.tail = v
 }
+
+// victim returns the least-recently-used segment; among segments never
+// used, the lowest index.
+func (s *SegmentStore) victim() int32 { return s.head }
 
 // Insert implements Store. The incoming run is treated as a new stream:
 // it takes over the least-recently-used segment, evicting that segment's
@@ -211,8 +229,7 @@ func (s *SegmentStore) Insert(lba int64, count int) {
 	v := s.victim()
 	s.evict(v)
 	s.place(lba, lba+int64(count), v)
-	s.clock++
-	s.segs[v].lru = s.clock
+	s.use(v)
 }
 
 // evict drops every extent segment v owns, counting its blocks as

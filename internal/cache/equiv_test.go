@@ -97,6 +97,28 @@ func lruOrder(n int, stamp func(int) uint64) []int {
 	return order
 }
 
+// listOrder walks the store's recency list from head to tail, checking
+// that every back link matches and that each segment appears once.
+func listOrder(t *testing.T, s *SegmentStore) []int {
+	t.Helper()
+	var order []int
+	prev := nilNode
+	for v := s.head; v != nilNode; v = s.segs[v].next {
+		if s.segs[v].prev != prev {
+			t.Fatalf("segment %d prev = %d, walked from %d", v, s.segs[v].prev, prev)
+		}
+		if len(order) == len(s.segs) {
+			t.Fatalf("recency list longer than %d segments: cycle", len(s.segs))
+		}
+		order = append(order, int(v))
+		prev = v
+	}
+	if s.tail != prev || len(order) != len(s.segs) {
+		t.Fatalf("recency list %v ends at %d, tail %d", order, prev, s.tail)
+	}
+	return order
+}
+
 // segTwin drives one op stream through the extent store and the oracle.
 type segTwin struct {
 	t      *testing.T
@@ -140,9 +162,8 @@ func (w *segTwin) check() {
 			t.Fatalf("RunEnd(%d) = %d, oracle %d", b, g, end)
 		}
 	}
-	n := len(w.got.segs)
-	g := lruOrder(n, func(i int) uint64 { return w.got.segs[i].lru })
-	r := lruOrder(n, func(i int) uint64 { return w.want.segs[i].lru })
+	g := listOrder(t, w.got)
+	r := lruOrder(len(w.want.segs), func(i int) uint64 { return w.want.segs[i].lru })
 	if !slices.Equal(g, r) {
 		t.Fatalf("LRU order %v, oracle %v", g, r)
 	}

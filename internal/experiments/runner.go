@@ -64,8 +64,9 @@ func (r *runner) addSlot(fn func() error, slot any) {
 }
 
 // workloadRef builds a workload lazily, exactly once, for the cells that
-// share it. Workloads are read-only during replay (bitmaps, rigs and
-// RNGs are per-run), so concurrent cells can share the built value.
+// share it. Workloads are read-only during replay (rigs and RNGs are
+// per-run; the HDC rankings and FOR bitmaps a workload derives are
+// immutable once built), so concurrent cells can share the built value.
 type workloadRef struct {
 	once  sync.Once
 	build func() (*diskthru.Workload, error)

@@ -8,11 +8,12 @@ import (
 
 // Warm-start plumbing: a daemon serving many jobs over the same
 // (experiment, Options) pair rebuilds identical workloads — fslayout
-// allocation, trace generation, FOR bitmaps — from scratch for every
-// job. Options.WorkloadCache lets the caller interpose a cache keyed by
-// a deterministic fingerprint of everything that shapes workload
-// construction; workloads are read-only during replay (bitmaps, rigs
-// and RNGs are per-run), so one cached build can back any number of
+// allocation, trace generation, HDC rankings, FOR bitmaps — from
+// scratch for every job. Options.WorkloadCache lets the caller
+// interpose a cache keyed by a deterministic fingerprint of everything
+// that shapes workload construction; workloads are read-only during
+// replay (rigs and RNGs are per-run; derived rankings and bitmaps are
+// immutable once built), so one cached build can back any number of
 // concurrent cells. internal/serve provides the LRU implementation.
 
 // WorkloadCache caches built workloads across experiment invocations.

@@ -16,10 +16,13 @@ import (
 // exact expression the reference Geometry methods evaluate inline, and
 // the remaining arithmetic keeps the reference's operation order, so
 // MediaOp and BlockPos are bit-identical to their Geometry counterparts
-// (TestMechMatchesGeometry enforces this). The one division left in the
-// rotational path — the platter-angle reduction inside angleOf — stays a
-// division deliberately: multiplying by a precomputed reciprocal rounds
-// differently in the last ulp and would break byte-identical tables.
+// (TestMechMatchesGeometry enforces this). The platter-angle reduction
+// replaces angleOf's math.Mod(x, 1) with the exact trunc-subtraction of
+// reduceRev, which returns the same bits without Mod's software
+// frexp/ldexp loop. Only the division by the revolution time before it
+// stays as the reference wrote it: multiplying by a precomputed
+// reciprocal rounds differently in the last ulp and would break
+// byte-identical tables.
 //
 // A Mech is immutable after construction and safe to share across
 // concurrent replay cells; Compile caches one per distinct Geometry.
@@ -256,8 +259,9 @@ func (m *Mech) MediaOp(fromCyl int, lba int64, count int, start float64) Access 
 
 	// Rotational wait: the platter angle when the seek settles versus
 	// the tabulated angle of the first target sector. The angle-of-time
-	// reduction keeps the reference's division (see the type comment).
-	frac := math.Mod((start+acc.SeekTime)/m.rev, 1.0)
+	// reduction keeps the reference's division and reduces exactly by
+	// truncation (see the type comment).
+	frac := reduceRev((start + acc.SeekTime) / m.rev)
 	if frac < 0 {
 		frac += 1.0
 	}
@@ -296,6 +300,17 @@ func (m *Mech) MediaOp(fromCyl int, lba int64, count int, start float64) Access 
 	}
 	acc.EndCylinder = int(lastTrack / m.heads)
 	return acc
+}
+
+// reduceRev returns math.Mod(x, 1) bit for bit: the fractional part of
+// x with x's sign. The subtraction is exact for every finite x — for
+// |x| >= 1 by Sterbenz's lemma (Trunc(x) lies within a factor of two of
+// x), and below that Trunc(x) is ±0 — and so is Mod, so the two agree
+// except in the sign of a zero result, which Copysign restores (Mod(-3,
+// 1) is -0 where -3 - Trunc(-3) is +0). ±Inf and NaN give NaN, as Mod
+// does.
+func reduceRev(x float64) float64 {
+	return math.Copysign(x-math.Trunc(x), x)
 }
 
 // zonedTransfer is Geometry.zonedTransfer over the precomputed spans:

@@ -122,11 +122,92 @@ func BenchmarkMediaOpReference(b *testing.B) {
 	}
 }
 
-func BenchmarkMediaOpCompiled(b *testing.B) {
+// mediaOpStream is a fixed op stream spread over the whole disk and
+// many revolutions, so the benchmark and the alloc guard exercise the
+// seek table, the rotational reduction and track switches alike.
+type mediaOpStream struct {
+	from  []int
+	lba   []int64
+	count []int
+	start []float64
+}
+
+func newMediaOpStream(g Geometry, n int) mediaOpStream {
+	rng := rand.New(rand.NewSource(3))
+	s := mediaOpStream{make([]int, n), make([]int64, n), make([]int, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		s.count[i] = 1 + rng.Intn(64)
+		s.from[i] = rng.Intn(g.Cylinders)
+		s.lba[i] = rng.Int63n(g.Blocks() - int64(s.count[i]))
+		s.start[i] = rng.Float64() * 3600
+	}
+	return s
+}
+
+// sinkAccess keeps benchmarked MediaOp calls from being optimized away.
+var sinkAccess Access
+
+// BenchmarkMechMediaOp is the disk-mechanics layer's per-operation
+// cost: one compiled MediaOp, 0 allocs/op.
+func BenchmarkMechMediaOp(b *testing.B) {
 	g := Ultrastar36Z15()
 	m := g.Compile()
+	ops := newMediaOpStream(g, 1024)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MediaOp(i%g.Cylinders, int64(i%1000)*32, 32, float64(i)*1e-3)
+		j := i & 1023
+		sinkAccess = m.MediaOp(ops.from[j], ops.lba[j], ops.count[j], ops.start[j])
+	}
+}
+
+// MediaOp runs once per media access inside the event loop; it must not
+// allocate.
+func TestMechMediaOpAllocFree(t *testing.T) {
+	for _, g := range []Geometry{Ultrastar36Z15(), Ultrastar36Z15Zoned()} {
+		m := g.Compile()
+		ops := newMediaOpStream(g, 256)
+		avg := testing.AllocsPerRun(20, func() {
+			for j := range ops.lba {
+				m.MediaOp(ops.from[j], ops.lba[j], ops.count[j], ops.start[j])
+			}
+		})
+		if avg > 0 {
+			t.Fatalf("MediaOp allocates: %.1f allocs per 256 ops", avg)
+		}
+	}
+}
+
+// reduceRev must be math.Mod(x, 1) bit for bit, or MediaOp would drift
+// from the reference Geometry it is held to.
+func TestReduceRevMatchesMod(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		got, want := reduceRev(x), math.Mod(x, 1)
+		if math.IsNaN(want) {
+			if !math.IsNaN(got) {
+				t.Fatalf("reduceRev(%v) = %v, Mod gives NaN", x, got)
+			}
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("reduceRev(%v [%#016x]) = %v [%#016x], Mod gives %v [%#016x]",
+				x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	edges := []float64{
+		0, math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1022 - math.SmallestNonzeroFloat64,
+		0.5, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 1.5, 2, 3, 7.25,
+		0x1p52 - 1, 0x1p52 - 0.5, 0x1p52, 0x1p52 + 1, 0x1p53 - 1, 0x1p53, 0x1p53 + 2,
+		1e15 + 0.3, 1e300, math.MaxFloat64,
+		math.Inf(1), math.NaN(),
+	}
+	for _, x := range edges {
+		check(x)
+		check(-x)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
 	}
 }

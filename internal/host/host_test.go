@@ -1,6 +1,7 @@
 package host
 
 import (
+	"fmt"
 	"testing"
 
 	"diskthru/internal/array"
@@ -12,6 +13,7 @@ import (
 	"diskthru/internal/sched"
 	"diskthru/internal/sim"
 	"diskthru/internal/trace"
+	"diskthru/internal/workload"
 )
 
 // rig bundles a small array for tests.
@@ -185,8 +187,8 @@ func TestHDCFlushAtEndWritesDirty(t *testing.T) {
 	r := newRig(t, 1, 1<<16, func(c *disk.Config) { c.HDCBytes = 1 << 20 })
 	id, _ := r.layout.Alloc(4, 0, nil)
 	// Pin the whole file, then write it: the write is absorbed.
-	plan := PlanHDC(&trace.Trace{Records: []trace.Record{{File: int32(id), Blocks: 4}}},
-		r.layout, r.striper, 4)
+	plan := PlanHDC((&trace.Trace{Records: []trace.Record{{File: int32(id), Blocks: 4}}}).
+		BlockCounts(r.layout).Ranked(), r.striper, 4)
 	r.disks[0].PinBlocks(plan[0])
 
 	tr := &trace.Trace{Records: []trace.Record{{File: int32(id), Blocks: 4, Write: true}}}
@@ -258,7 +260,7 @@ func TestPlanHDCPicksHottestPerDisk(t *testing.T) {
 			tr.Records = append(tr.Records, trace.Record{File: int32(f), Blocks: 2})
 		}
 	}
-	plan := PlanHDC(tr, l, s, 2)
+	plan := PlanHDC(tr.BlockCounts(l).Ranked(), s, 2)
 	// Disk 1 holds odd files; hottest is file 3 -> its pba 2,3.
 	if len(plan[1]) != 2 {
 		t.Fatalf("disk1 plan = %v", plan[1])
@@ -282,13 +284,13 @@ func TestPlanHDCRespectsCapacityAndEmpty(t *testing.T) {
 	l.Alloc(10, 0, nil)
 	tr := &trace.Trace{Records: []trace.Record{{File: 0, Blocks: 10}}}
 	s := array.NewStriper(2, 2)
-	plan := PlanHDC(tr, l, s, 3)
+	plan := PlanHDC(tr.BlockCounts(l).Ranked(), s, 3)
 	for d, p := range plan {
 		if len(p) > 3 {
 			t.Fatalf("disk %d pinned %d blocks", d, len(p))
 		}
 	}
-	empty := PlanHDC(tr, l, s, 0)
+	empty := PlanHDC(tr.BlockCounts(l).Ranked(), s, 0)
 	for _, p := range empty {
 		if len(p) != 0 {
 			t.Fatal("zero-capacity plan non-empty")
@@ -491,5 +493,26 @@ func TestBuildBitmapsReExport(t *testing.T) {
 	maps := BuildBitmaps(l, array.NewStriper(2, 2))
 	if len(maps) != 2 {
 		t.Fatalf("%d bitmaps", len(maps))
+	}
+}
+
+// BenchmarkPlanHDC is the per-cell planning cost once the workload's
+// ranking is shared: one walk of the Web trace's ranked blocks, filling
+// 8 disks' pinned regions at the perfbench web-replay scale (2 MB
+// scaled by 0.05, 25 blocks per disk) and at the paper's full 2 MB.
+func BenchmarkPlanHDC(b *testing.B) {
+	w, err := workload.Web(workload.DefaultWeb(0.05))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ranked := w.Trace.BlockCounts(w.Layout).Ranked()
+	for _, perDisk := range []int{25, 512} {
+		b.Run(fmt.Sprintf("perDisk=%d", perDisk), func(b *testing.B) {
+			s := array.NewStriper(8, 4)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PlanHDC(ranked, s, perDisk)
+			}
+		})
 	}
 }

@@ -3,21 +3,24 @@ package host
 import (
 	"diskthru/internal/array"
 	"diskthru/internal/fslayout"
-	"diskthru/internal/trace"
+	"diskthru/internal/stats"
 )
 
-// PlanHDC selects, for each disk, the physical blocks to pin: the blocks
-// that receive the most accesses in the disk-level trace, each stored on
-// its own disk (the paper's "perfect knowledge of the future" policy,
-// section 6.1). perDiskBlocks bounds each controller's pinned region.
-// The returned slice is indexed by disk.
-func PlanHDC(t *trace.Trace, l *fslayout.Layout, s array.Striper, perDiskBlocks int) [][]int64 {
+// PlanHDC selects, for each disk, the physical blocks to pin: the
+// most-accessed logical blocks, each stored on its own disk (the paper's
+// "perfect knowledge of the future" policy, section 6.1). ranked is the
+// trace's block ranking, most accessed first (stats.AccessCounter's
+// Ranked order); it depends only on the trace and layout, so callers
+// compute it once and plan every striping and capacity from it.
+// perDiskBlocks bounds each controller's pinned region. The returned
+// slice is indexed by disk.
+func PlanHDC(ranked []stats.BlockCount, s array.Striper, perDiskBlocks int) [][]int64 {
 	plan := make([][]int64, s.Disks)
 	if perDiskBlocks <= 0 {
 		return plan
 	}
 	full := 0
-	for _, bc := range t.BlockCounts(l).Ranked() {
+	for _, bc := range ranked {
 		d, pba := s.Locate(bc.Block)
 		if len(plan[d]) >= perDiskBlocks {
 			continue

@@ -19,7 +19,8 @@ const (
 // byte-budgeted LRU holding both completed cell payloads (keyed by the
 // canonical spec identity, see payloadKey) and built workloads (keyed
 // by experiments' warm-session scheme). Payload hits skip the whole
-// simulation; workload hits skip layout allocation and trace synthesis.
+// simulation; workload hits skip layout allocation and trace synthesis,
+// and reuse the HDC rankings and FOR bitmaps earlier jobs derived.
 // Both kinds share the budget because they compete for the same memory:
 // a daemon serving many distinct sweeps wants workloads, a daemon
 // re-serving the same cells wants payloads, and LRU arbitrates.
@@ -99,7 +100,16 @@ func (c *warmCache) add(e *cacheEntry) {
 		c.lru.Remove(el)
 		delete(c.entries, nk)
 	}
-	for c.cost+e.cost > c.maxCost {
+	c.evictFor(e.cost)
+	c.entries[nk] = c.lru.PushFront(e)
+	c.cost += e.cost
+	c.bytes[kindIdx(e.kind)].Add(e.cost)
+}
+
+// evictFor evicts least-recently-used entries of any kind until room
+// more bytes fit the budget. Callers hold mu.
+func (c *warmCache) evictFor(room int64) {
+	for c.cost+room > c.maxCost {
 		back := c.lru.Back()
 		if back == nil {
 			break
@@ -111,9 +121,31 @@ func (c *warmCache) add(e *cacheEntry) {
 		c.bytes[kindIdx(victim.kind)].Add(-victim.cost)
 		c.evictions[kindIdx(victim.kind)].Add(1)
 	}
-	c.entries[nk] = c.lru.PushFront(e)
-	c.cost += e.cost
-	c.bytes[kindIdx(e.kind)].Add(e.cost)
+}
+
+// recharge re-reads the cost of every workload entry and evicts back
+// to budget. A cached workload grows after it is added: its cells build
+// HDC rankings and one set of FOR bitmaps per striping
+// (Workload.MemFootprint counts them), so the cost charged at Add
+// undercounts what the entry holds once a job has used it. An entry
+// that alone now exceeds the budget is evicted like any other.
+func (c *warmCache) recharge() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		if e.kind != kindWorkload {
+			continue
+		}
+		cost := e.w.MemFootprint()
+		c.cost += cost - e.cost
+		c.bytes[kindIdx(kindWorkload)].Add(cost - e.cost)
+		e.cost = cost
+	}
+	c.evictFor(0)
 }
 
 // getPayload looks up a completed cell payload.

@@ -231,6 +231,8 @@ func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck 
 	o.Progress = prog
 	if s.cache != nil {
 		o.WorkloadCache = s.cache
+		// The job's cells may have grown the workloads it used.
+		defer s.cache.recharge()
 	}
 	if sp.Cell != nil {
 		return s.runCellSpec(sp, o, ck)

@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"diskthru"
 	"diskthru/internal/experiments"
 	"diskthru/internal/probe"
+	"diskthru/internal/workload"
 )
 
 // tinyCellSpec is a cell job at the smallest scale the experiments
@@ -250,5 +252,65 @@ func TestLegacySnapRecordRecoversCold(t *testing.T) {
 	}
 	if out := scrape(t, s); !strings.Contains(out, `serve_jobs_recovered_total{disposition="resumed"} 1`) {
 		t.Error(`serve_jobs_recovered_total{disposition="resumed"} is not 1`)
+	}
+}
+
+// workloadEntries totals the charged cost of the cache's workload
+// entries and counts them.
+func workloadEntries(c *warmCache) (cost int64, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.kind == kindWorkload {
+			cost += e.cost
+			n++
+		}
+	}
+	return cost, n
+}
+
+// TestWorkloadEntryRechargedAfterJob: a cached workload grows as its
+// cells build FOR bitmaps, one set per striping. After a fig7 job
+// (seven stripings of one Web workload) the entry's charged cost must
+// exceed its cost at Add by at least three stripings' bitmaps, and a
+// budget that admits the bare workload but not three stripings' bitmaps
+// must evict the entry once the job finishes.
+func TestWorkloadEntryRechargedAfterJob(t *testing.T) {
+	sp := Spec{Experiment: "fig7", Quick: true, Parallelism: 2, WebScale: 0.012}
+	fresh, err := diskthru.WebWorkload(sp.WebScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fresh.MemFootprint() // what the job's Add charges
+	grow := int64(3 * workload.DefaultVolumeBlocks / 8)
+
+	h := newHarness(t, Config{QueueCap: 4, CacheBytes: base + 16*grow})
+	if v := h.await(h.submit(sp).ID, time.Minute, terminal); v.State != StateDone {
+		t.Fatalf("fig7 job ended %s: %s", v.State, v.Error)
+	}
+	cost, n := workloadEntries(h.srv.cache)
+	if n != 1 {
+		t.Fatalf("%d workload entries cached, want 1", n)
+	}
+	if cost < base+grow {
+		t.Errorf("workload entry charged %d bytes after the job, want >= %d (Add-time %d + 3 stripings' bitmaps %d)",
+			cost, base+grow, base, grow)
+	}
+	if b := h.srv.cache.bytes[kindIdx(kindWorkload)].Load(); b != cost {
+		t.Errorf("workload bytes gauge = %d, entries hold %d", b, cost)
+	}
+
+	h2 := newHarness(t, Config{QueueCap: 4, CacheBytes: base + grow - 1})
+	if v := h2.await(h2.submit(sp).ID, time.Minute, terminal); v.State != StateDone {
+		t.Fatalf("fig7 job under a tight budget ended %s: %s", v.State, v.Error)
+	}
+	if _, n := workloadEntries(h2.srv.cache); n != 0 {
+		t.Errorf("%d workload entries survive a budget below their recharged cost", n)
+	}
+	if ev := h2.srv.cache.evictions[kindIdx(kindWorkload)].Load(); ev != 1 {
+		t.Errorf("workload evictions = %d, want 1", ev)
+	}
+	if b := h2.srv.cache.bytes[kindIdx(kindWorkload)].Load(); b != 0 {
+		t.Errorf("workload bytes gauge = %d after eviction, want 0", b)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // Workload is an opaque handle on a file-system layout plus the
 // disk-level trace to replay against it.
 type Workload struct {
-	inner *workload.Workload
+	inner   *workload.Workload
+	derived derived // HDC rankings and FOR bitmaps, built on first use
 }
 
 // Name reports the workload's label ("web", "proxy", "file",
@@ -49,9 +50,12 @@ func (w *Workload) FootprintBlocks() int64 { return w.inner.Layout.UsedBlocks() 
 func (w *Workload) AvgFileBlocks() int { return w.inner.AvgFileBlocks }
 
 // MemFootprint estimates the resident bytes of a built workload — trace
-// records plus per-file layout tables — for byte-cost accounting in the
+// records, per-file layout tables, and the HDC rankings and FOR bitmaps
+// its cells have built so far — for byte-cost accounting in the
 // daemon's LRU workload cache. An estimate, not a measurement: it only
-// has to rank workloads against a cache budget.
+// has to rank workloads against a cache budget. It grows as cells
+// prepare new plans and stripings, so the daemon's cache re-reads it
+// after each job.
 func (w *Workload) MemFootprint() int64 {
 	const recBytes = 16 // trace.Record plus slice overhead share
 	n := int64(4 << 10) // fixed structures
@@ -62,6 +66,7 @@ func (w *Workload) MemFootprint() int64 {
 		n += int64(s.Len()) * recBytes
 	}
 	n += int64(w.inner.Layout.NumFiles()) * 64
+	n += w.derived.resident()
 	return n
 }
 
@@ -81,7 +86,10 @@ func (w *Workload) BlockAccessCounts(n int) []int {
 	if w.inner.Trace == nil {
 		return nil
 	}
-	top := w.inner.Trace.BlockCounts(w.inner.Layout).TopN(n)
+	top := w.ranking(PlannerPerfect)
+	if n < len(top) {
+		top = top[:n]
+	}
 	out := make([]int, len(top))
 	for i, bc := range top {
 		out[i] = bc.Count
